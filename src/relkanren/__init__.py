@@ -38,7 +38,6 @@ from .unify import (
     alpha_eq,
     occurs,
     reify,
-    reify_names,
     unify,
     walk,
     walk_star,

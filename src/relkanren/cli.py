@@ -6,8 +6,9 @@ answers one per line.  ``relkanren query`` runs a small goal program.
 
 Exit codes: 0 with at least one answer, 1 with none, 2 on step-budget
 exhaustion (partial answers flushed, diagnostic on stderr), 3 for an
-unknown ruleset name, 4 for a parse error.  All diagnostics go to stderr;
-only answer lines go to the output channel.
+unknown ruleset name, 4 for a parse error, 5 for any other error (one
+line on stderr naming the exception; answers printed before it stay).
+All diagnostics go to stderr; only answer lines go to the output channel.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ EXIT_NO_ANSWERS = 1
 EXIT_BUDGET = 2
 EXIT_UNKNOWN_RULESET = 3
 EXIT_PARSE_ERROR = 4
+EXIT_ERROR = 5
 
 BUDGET_ENV_VAR = "RELKANREN_MAX_STEPS"
 
@@ -140,7 +142,32 @@ def cmd_rewrite(args) -> int:
             out.close()
 
 
-_GOAL_HEADS = {"eq", "neq", "membero", "conso", "permuteo", "typeo", "rule"}
+def _rule(ruleset, u, v):
+    rs = builtin_rulesets().get(ruleset.name)
+    if rs is None:
+        raise _CliError(f"unknown ruleset: {ruleset.name}", EXIT_UNKNOWN_RULESET)
+    return rs.rule(u, v)
+
+
+def _typeo(v, kind):
+    if not isinstance(kind, Symbol):
+        raise _CliError("typeo expects a predicate name symbol", EXIT_PARSE_ERROR)
+    try:
+        return type_constraint(v, kind.name)
+    except UnknownPredicateError:
+        raise _CliError(f"unknown predicate: {kind.name}", EXIT_PARSE_ERROR)
+
+
+# goal head -> (arity, goal constructor)
+_GOALS = {
+    "eq": (2, eq),
+    "neq": (2, neq),
+    "membero": (2, membero),
+    "conso": (3, conso),
+    "permuteo": (2, permuteo),
+    "typeo": (2, _typeo),
+    "rule": (3, _rule),
+}
 
 
 def _build_goal(form):
@@ -151,35 +178,14 @@ def _build_goal(form):
     if not parts or not isinstance(parts[0], Symbol):
         raise _CliError(f"malformed goal: {print_term(form)}", EXIT_PARSE_ERROR)
     head, args = parts[0].name, parts[1:]
-    if head not in _GOAL_HEADS:
+    if head not in _GOALS:
         raise _CliError(f"unknown goal: {head}", EXIT_PARSE_ERROR)
-    if head == "rule":
-        if len(args) != 3 or not isinstance(args[0], Symbol):
-            raise _CliError("rule goal needs a name and two terms", EXIT_PARSE_ERROR)
-        rs = builtin_rulesets().get(args[0].name)
-        if rs is None:
-            raise _CliError(f"unknown ruleset: {args[0].name}", EXIT_UNKNOWN_RULESET)
-        return rs.rule(args[1], args[2])
-    arities = {"eq": 2, "neq": 2, "membero": 2, "conso": 3, "permuteo": 2, "typeo": 2}
-    if len(args) != arities[head]:
-        raise _CliError(f"goal {head} expects {arities[head]} argument(s)", EXIT_PARSE_ERROR)
-    if head == "eq":
-        return eq(args[0], args[1])
-    if head == "neq":
-        return neq(args[0], args[1])
-    if head == "membero":
-        return membero(args[0], args[1])
-    if head == "conso":
-        return conso(args[0], args[1], args[2])
-    if head == "permuteo":
-        return permuteo(args[0], args[1])
-    # typeo
-    if not isinstance(args[1], Symbol):
-        raise _CliError("typeo expects a predicate name symbol", EXIT_PARSE_ERROR)
-    try:
-        return type_constraint(args[0], args[1].name)
-    except UnknownPredicateError:
-        raise _CliError(f"unknown predicate: {args[1].name}", EXIT_PARSE_ERROR)
+    arity, make = _GOALS[head]
+    if head == "rule" and (len(args) != arity or not isinstance(args[0], Symbol)):
+        raise _CliError("rule goal needs a name and two terms", EXIT_PARSE_ERROR)
+    if len(args) != arity:
+        raise _CliError(f"goal {head} expects {arity} argument(s)", EXIT_PARSE_ERROR)
+    return make(*args)
 
 
 def cmd_query(args) -> int:
@@ -257,6 +263,9 @@ def main(argv=None) -> int:
     except _CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
+    except Exception as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 def entry() -> None:

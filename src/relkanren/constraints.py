@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from . import terms
-from .terms import ConsCell, LogicVar, Symbol, is_ground, nil, to_term
+from .terms import ConsCell, ExprTerm, LogicVar, Symbol, is_ground, nil, to_term
 from .unify import Substitution, unify_delta, walk, walk_star
 
 
@@ -28,7 +27,7 @@ def _is_number(t):
 
 
 def _is_expr(t):
-    return isinstance(t, terms._EXPR_TYPE)
+    return isinstance(t, ExprTerm)
 
 
 _PREDICATES: dict[str, Callable] = {

@@ -1,9 +1,8 @@
-"""Evaluable operator-application terms and the operator registry.
+"""Evaluation of operator-application terms and the operator registry.
 
-An :class:`ExprTerm` is an immutable nonempty sequence whose first item is
-the operator position.  It unifies interchangeably with the equivalent cons
-spine ``(op . operands)`` and can evaluate itself against an
-:class:`OperatorRegistry`, caching the result.
+An :class:`~relkanren.terms.ExprTerm` (defined with the other terms and
+re-exported here) evaluates against an :class:`OperatorRegistry`, caching
+the result.
 
 Operators are named by :class:`~relkanren.terms.Symbol` and resolved through
 the registry at evaluation time, which keeps terms serializable and keeps
@@ -16,15 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from . import terms
-from .terms import (
-    ConsCell,
-    Symbol,
-    is_ground,
-    nil,
-    term_eq,
-    term_hash,
-)
+from .terms import ConsCell, ExprTerm, Symbol, is_ground, spine_elements
 
 
 class EvalError(Exception):
@@ -41,52 +32,6 @@ class UnknownOperatorError(EvalError):
 
 class ArityError(EvalError):
     """The operand count does not match the operator's declared arity."""
-
-
-class ExprTerm(tuple):
-    """An operator-application term behaving as an immutable sequence.
-
-    Indexing returns items; slicing returns a (nonempty) ExprTerm sharing
-    no mutable state with the original.
-    """
-
-    def __new__(cls, items):
-        items = tuple(items)
-        if not items:
-            raise ValueError("an expression term needs at least one item")
-        return tuple.__new__(cls, items)
-
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            part = tuple.__getitem__(self, key)
-            if not part:
-                raise ValueError("a slice of an expression term must be nonempty")
-            return ExprTerm(part)
-        return tuple.__getitem__(self, key)
-
-    def __eq__(self, other):
-        if not isinstance(other, (ExprTerm, ConsCell)):
-            return NotImplemented
-        return term_eq(self, other)
-
-    def __ne__(self, other):
-        res = self.__eq__(other)
-        if res is NotImplemented:
-            return res
-        return not res
-
-    def __hash__(self):
-        return term_hash(self)
-
-    def __repr__(self):
-        from .sexpr import print_term
-
-        return print_term(self)
-
-
-# Late-bind the expression type into the term module so the structural
-# helpers there can recognize it without a circular import.
-terms._EXPR_TYPE = (ExprTerm,)
 
 
 def make_expr(*items) -> ExprTerm:
@@ -118,7 +63,6 @@ class OperatorDef:
     arity: int | None
     eval_fn: Callable | None
     commutative: bool = False
-    associative: bool = False
 
 
 class OperatorRegistry:
@@ -156,7 +100,7 @@ def _fold_sum(t):
     # scalar numbers pass through; proper lists reduce by addition
     if isinstance(t, (int, float)) and not isinstance(t, bool):
         return t
-    elems = terms.spine_elements(t)
+    elems = spine_elements(t)
     if elems is None:
         raise EvalError(f"sum expects a number or a proper list, got {t!r}")
     total = 0
@@ -190,9 +134,9 @@ def builtin_registry() -> OperatorRegistry:
     to decimal; log and exp always produce decimals.
     """
     reg = OperatorRegistry()
-    reg.register(OperatorDef("add", 2, lambda a: _num(a[0]) + _num(a[1]), commutative=True, associative=True))
+    reg.register(OperatorDef("add", 2, lambda a: _num(a[0]) + _num(a[1]), commutative=True))
     reg.register(OperatorDef("sub", 2, lambda a: _num(a[0]) - _num(a[1])))
-    reg.register(OperatorDef("mul", 2, lambda a: _num(a[0]) * _num(a[1]), commutative=True, associative=True))
+    reg.register(OperatorDef("mul", 2, lambda a: _num(a[0]) * _num(a[1]), commutative=True))
     reg.register(OperatorDef("div", 2, lambda a: _div(a[0], a[1])))
     reg.register(OperatorDef("log", 1, lambda a: _log(a[0])))
     reg.register(OperatorDef("exp", 1, lambda a: math.exp(_num(a[0]))))

@@ -212,10 +212,9 @@ def run_bounded(n, budget, query, *goals):
     budget ran out before the stream was done.  A budget of 0 or None means
     unlimited.
     """
-    token = _budget.set([budget] if budget else None)
     answers = []
     exhausted = False
-    try:
+    with step_budget(budget):
         gen = _solutions(query, goals)
         while n is ALL or n == 0 or len(answers) < n:
             try:
@@ -225,6 +224,4 @@ def run_bounded(n, budget, query, *goals):
             except StepBudgetExceeded:
                 exhausted = True
                 break
-    finally:
-        _budget.reset(token)
     return tuple(answers), exhausted

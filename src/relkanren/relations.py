@@ -9,17 +9,21 @@ from __future__ import annotations
 
 import itertools
 
-from . import terms
 from .exprs import OperatorRegistry
 from .terms import (
     ConsCell,
+    ExprTerm,
     LogicVar,
     Symbol,
+    car,
+    cdr,
     cons,
     fresh_var,
+    is_application,
     is_ground,
     nil,
     spine_elements,
+    term_eq,
     term_from_list,
     term_hash,
     to_term,
@@ -58,14 +62,7 @@ class _Key:
         self.t = t
 
     def __eq__(self, other):
-        a, b = self.t, other.t
-        if terms.is_application(a) or terms.is_application(b):
-            return terms.term_eq(a, b)
-        if isinstance(a, LogicVar) or isinstance(b, LogicVar):
-            return isinstance(a, LogicVar) and isinstance(b, LogicVar) and a.id == b.id
-        if a is nil or b is nil:
-            return a is b
-        return type(a) is type(b) and a == b
+        return term_eq(self.t, other.t)
 
     def __hash__(self):
         return term_hash(self.t)
@@ -195,7 +192,7 @@ def _fresh_vars_of(t, s: Substitution) -> set:
         elif isinstance(x, ConsCell):
             stack.append(x.car)
             stack.append(x.cdr)
-        elif isinstance(x, terms._EXPR_TYPE):
+        elif isinstance(x, ExprTerm):
             stack.extend(tuple.__iter__(x))
     return out
 
@@ -230,9 +227,9 @@ def eq_comm(u, v, reg: OperatorRegistry):
         s = state.subst
         uw = walk(u, s)
         vw = walk(v, s)
-        if terms.is_application(uw) and terms.is_application(vw):
-            op_u = walk(terms.car(uw), s)
-            op_v = walk(terms.car(vw), s)
+        if is_application(uw) and is_application(vw):
+            op_u = walk(car(uw), s)
+            op_v = walk(car(vw), s)
             if (
                 isinstance(op_u, Symbol)
                 and isinstance(op_v, Symbol)
@@ -240,8 +237,8 @@ def eq_comm(u, v, reg: OperatorRegistry):
                 and op_u.name in reg
                 and reg.get(op_u.name).commutative
             ):
-                ru = spine_elements(walk_star(terms.cdr(uw), s))
-                rv = spine_elements(walk_star(terms.cdr(vw), s))
+                ru = spine_elements(walk_star(cdr(uw), s))
+                rv = spine_elements(walk_star(cdr(vw), s))
                 if ru is not None and rv is not None:
                     if len(ru) != len(rv):
                         return

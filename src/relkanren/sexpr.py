@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import re
 
-from .exprs import ExprTerm, OperatorRegistry
-from .terms import ConsCell, LogicVar, Symbol, fresh_var, nil
-from . import terms
+from .exprs import OperatorRegistry
+from .terms import ConsCell, ExprTerm, LogicVar, Symbol, fresh_var, nil, spine
 
 _INT_RE = re.compile(r"[+-]?[0-9]+\Z")
 _FLOAT_RE = re.compile(r"[+-]?([0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)([eE][+-]?[0-9]+)?\Z")
@@ -196,7 +195,9 @@ def print_term(t) -> str:
     """Canonical text for a term.
 
     Unbound variables print as ``?_0``, ``?_1``, ... in left-to-right
-    depth-first encounter order; expression terms print as plain lists.
+    depth-first encounter order.  Lists print as :func:`~relkanren.terms.spine`
+    sees them: expression terms print as plain lists, and so does a cons
+    spine ending in one.
     Deterministic, and the inverse of :func:`parse_sexpr` up to variable
     identity.
     """
@@ -225,17 +226,8 @@ def print_term(t) -> str:
             out.append(f'"{_escape(x)}"')
         elif isinstance(x, Symbol):
             out.append(x.name)
-        elif isinstance(x, (ConsCell,) + terms._EXPR_TYPE):
-            if isinstance(x, ConsCell):
-                elems = []
-                cur = x
-                while isinstance(cur, ConsCell):
-                    elems.append(cur.car)
-                    cur = cur.cdr
-                tail = cur
-            else:
-                elems = list(tuple.__iter__(x))
-                tail = nil
+        elif isinstance(x, (ConsCell, ExprTerm)):
+            elems, tail = spine(x)
             work.append(("s", ")"))
             if tail is not nil:
                 work.append(("t", tail))

@@ -15,9 +15,6 @@ from __future__ import annotations
 import itertools
 import threading
 
-# Updated by relkanren.exprs at import time; isinstance(x, ()) is always False.
-_EXPR_TYPE: tuple = ()
-
 
 class DecompositionError(Exception):
     """A car/cdr projection was taken of a term with no head or tail."""
@@ -111,9 +108,52 @@ class ConsCell:
         self._hash = None
 
     def __eq__(self, other):
-        if not isinstance(other, (ConsCell,) + _EXPR_TYPE):
+        if not isinstance(other, (ConsCell, ExprTerm)):
             return NotImplemented
         return term_eq(self, other)
+
+    def __hash__(self):
+        return term_hash(self)
+
+    def __repr__(self):
+        from .sexpr import print_term
+
+        return print_term(self)
+
+
+class ExprTerm(tuple):
+    """An operator-application term behaving as an immutable sequence.
+
+    The first item is the operator position.  It unifies, compares and
+    hashes like the equivalent cons spine ``(op . operands)``.  Indexing
+    returns items; slicing returns a (nonempty) ExprTerm sharing no mutable
+    state with the original.
+    """
+
+    def __new__(cls, items):
+        items = tuple(items)
+        if not items:
+            raise ValueError("an expression term needs at least one item")
+        return tuple.__new__(cls, items)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            part = tuple.__getitem__(self, key)
+            if not part:
+                raise ValueError("a slice of an expression term must be nonempty")
+            return ExprTerm(part)
+        return tuple.__getitem__(self, key)
+
+    def __eq__(self, other):
+        if not isinstance(other, (ExprTerm, ConsCell)):
+            return NotImplemented
+        return term_eq(self, other)
+
+    def __ne__(self, other):
+        res = self.__eq__(other)
+        if res is NotImplemented:
+            return res
+        return not res
 
     def __hash__(self):
         return term_hash(self)
@@ -132,14 +172,14 @@ def cons(car, cdr) -> ConsCell:
 def is_application(t) -> bool:
     """True for terms with a head/tail decomposition: cons cells and
     nonempty expression terms."""
-    return isinstance(t, ConsCell) or isinstance(t, _EXPR_TYPE)
+    return isinstance(t, (ConsCell, ExprTerm))
 
 
 def car(t):
     """Head of a cons cell, or the operator position of an expression term."""
     if isinstance(t, ConsCell):
         return t.car
-    if isinstance(t, _EXPR_TYPE):
+    if isinstance(t, ExprTerm):
         return tuple.__getitem__(t, 0)
     raise DecompositionError(f"cannot take car of {t!r}")
 
@@ -148,14 +188,9 @@ def cdr(t):
     """Tail of a cons cell, or the operand list of an expression term."""
     if isinstance(t, ConsCell):
         return t.cdr
-    if isinstance(t, _EXPR_TYPE):
+    if isinstance(t, ExprTerm):
         return term_from_list(list(tuple.__iter__(t))[1:])
     raise DecompositionError(f"cannot take cdr of {t!r}")
-
-
-def head_tail(t):
-    """(car, cdr) as one call; raises DecompositionError if undefined."""
-    return car(t), cdr(t)
 
 
 def term_from_list(items) -> object:
@@ -166,37 +201,41 @@ def term_from_list(items) -> object:
     return out
 
 
+def spine(t):
+    """The list view of a term: ``(elements, tail)``.
+
+    Cons cells contribute their cars.  An expression term, whether it is
+    the whole term or the tail of a cons spine, contributes all its items
+    and ends the list, since it unifies as the proper list
+    ``(op . operands)``.  tail is nil for a proper list; otherwise it is the
+    improper remainder (an atom or a variable).
+    """
+    out = []
+    while isinstance(t, ConsCell):
+        out.append(t.car)
+        t = t.cdr
+    if isinstance(t, ExprTerm):
+        out.extend(tuple.__iter__(t))
+        t = nil
+    return out, t
+
+
 def list_from_term(t) -> list:
     """Elements of a proper list term.
 
     Raises ImproperListError when the spine is not Nil-terminated (a
     dotted pair or a variable tail).
     """
-    out = []
-    while isinstance(t, ConsCell):
-        out.append(t.car)
-        t = t.cdr
-    if isinstance(t, _EXPR_TYPE):
-        # an expression term in tail position contributes its own spine
-        items = list(tuple.__iter__(t))
-        out.extend(items)
-        return out
-    if t is not nil:
-        raise ImproperListError(f"improper list tail: {t!r}")
+    out, tail = spine(t)
+    if tail is not nil:
+        raise ImproperListError(f"improper list tail: {tail!r}")
     return out
 
 
 def spine_elements(t):
     """Like list_from_term but returns None instead of raising."""
-    if isinstance(t, _EXPR_TYPE):
-        return list(tuple.__iter__(t))
-    out = []
-    while isinstance(t, ConsCell):
-        out.append(t.car)
-        t = t.cdr
-    if t is nil:
-        return out
-    return None
+    out, tail = spine(t)
+    return out if tail is nil else None
 
 
 def to_term(obj):
@@ -205,9 +244,7 @@ def to_term(obj):
     Terms pass through unchanged; this is a convenience for goal
     constructors so callers can write ``membero(x, (1, 2, 3))``.
     """
-    if isinstance(obj, _EXPR_TYPE):
-        return obj
-    if obj is nil or isinstance(obj, (LogicVar, ConsCell, Symbol)):
+    if obj is nil or isinstance(obj, (LogicVar, ConsCell, ExprTerm, Symbol)):
         return obj
     if isinstance(obj, (list, tuple)):
         return term_from_list([to_term(x) for x in obj])
@@ -252,7 +289,7 @@ def term_hash(t) -> int:
                 work.append((node, 1))
                 work.append((node.cdr, 0))
                 work.append((node.car, 0))
-            elif isinstance(node, _EXPR_TYPE):
+            elif isinstance(node, ExprTerm):
                 cached = getattr(node, "_thash", None)
                 if cached is not None:
                     out.append(cached)
@@ -299,8 +336,8 @@ def term_eq(a, b) -> bool:
         b_app = is_application(b)
         if a_app and b_app:
             if (
-                isinstance(a, _EXPR_TYPE)
-                and isinstance(b, _EXPR_TYPE)
+                isinstance(a, ExprTerm)
+                and isinstance(b, ExprTerm)
                 and tuple.__len__(a) == tuple.__len__(b)
             ):
                 stack.extend(zip(tuple.__iter__(a), tuple.__iter__(b)))
@@ -333,6 +370,6 @@ def is_ground(t) -> bool:
         if isinstance(x, ConsCell):
             stack.append(x.car)
             stack.append(x.cdr)
-        elif isinstance(x, _EXPR_TYPE):
+        elif isinstance(x, ExprTerm):
             stack.extend(tuple.__iter__(x))
     return True

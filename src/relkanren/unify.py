@@ -8,19 +8,16 @@ interpreter stack.
 
 from __future__ import annotations
 
-import threading
-
 from .terms import (
     ConsCell,
+    ExprTerm,
     LogicVar,
     car,
     cdr,
-    fresh_var,
     is_application,
     nil,
     term_eq,
 )
-from . import terms
 
 _FAIL = object()
 
@@ -106,7 +103,7 @@ def _occurs(v, t, s, delta) -> bool:
         elif isinstance(x, ConsCell):
             stack.append(x.car)
             stack.append(x.cdr)
-        elif isinstance(x, terms._EXPR_TYPE):
+        elif isinstance(x, ExprTerm):
             stack.extend(tuple.__iter__(x))
     return False
 
@@ -142,8 +139,8 @@ def unify_delta(pairs, s: Substitution, occurs_check: bool = True):
         v_app = is_application(v)
         if u_app and v_app:
             if (
-                isinstance(u, terms._EXPR_TYPE)
-                and isinstance(v, terms._EXPR_TYPE)
+                isinstance(u, ExprTerm)
+                and isinstance(v, ExprTerm)
                 and tuple.__len__(u) == tuple.__len__(v)
             ):
                 stack.extend(zip(tuple.__iter__(u), tuple.__iter__(v)))
@@ -176,20 +173,36 @@ def unify(u, v, s: Substitution, occurs_check: bool = True):
     return s.extend(delta)
 
 
-def walk_star(t, s: Substitution):
-    """Deep walk: resolve variables recursively through cons cells and
-    expression-term items, rebuilding structure as needed."""
+def _rebuild(t, s: Substitution, on_var):
+    """Copy t with every variable walked through s, handing each variable
+    left unbound to on_var and using its result in the variable's place.
+
+    Visits nodes left to right, depth first.  A cons cell or expression
+    term whose parts all come back unchanged is kept as is, which also
+    keeps its memoized hash and evaluation cache.
+    """
+    # most calls (constraint targets) resolve one variable: no work stack
+    if isinstance(t, LogicVar):
+        t = walk(t, s)
+        if isinstance(t, LogicVar):
+            return on_var(t)
+    if not isinstance(t, (ConsCell, ExprTerm)):
+        return t
     out = []
     work = [(t, 0)]
     while work:
         node, phase = work.pop()
         if phase == 0:
-            node = walk(node, s)
+            if isinstance(node, LogicVar):
+                node = walk(node, s)
+                if isinstance(node, LogicVar):
+                    out.append(on_var(node))
+                    continue
             if isinstance(node, ConsCell):
                 work.append((node, 1))
                 work.append((node.cdr, 0))
                 work.append((node.car, 0))
-            elif isinstance(node, terms._EXPR_TYPE):
+            elif isinstance(node, ExprTerm):
                 work.append((node, 2))
                 for item in reversed(tuple(tuple.__iter__(node))):
                     work.append((item, 0))
@@ -207,89 +220,45 @@ def walk_star(t, s: Substitution):
             items = out[-n:]
             del out[-n:]
             if all(a is b for a, b in zip(items, tuple.__iter__(node))):
-                out.append(node)  # identity-preserving: keeps the eval cache
+                out.append(node)
             else:
-                out.append(type(node)(items))
+                out.append(ExprTerm(items))
     return out[0]
 
 
-# Canonical display variables, one per reify index.  Reusing the same
-# variable objects makes reification idempotent and deterministic.
-_display_vars: dict[int, LogicVar] = {}
-_display_lock = threading.Lock()
+def _unchanged(v):
+    return v
+
+
+def walk_star(t, s: Substitution):
+    """Deep walk: resolve variables recursively through cons cells and
+    expression-term items, rebuilding structure as needed."""
+    return _rebuild(t, s, _unchanged)
 
 
 def display_var(index: int) -> LogicVar:
-    with _display_lock:
-        v = _display_vars.get(index)
-        if v is None:
-            v = fresh_var(f"_{index}")
-            _display_vars[index] = v
-        return v
+    """The variable :func:`reify` puts in place of the index-th unbound one.
 
-
-def reify_names(t, s: Substitution) -> dict:
-    """Map each unbound variable in walk_star(t, s) to its display token
-    ("_0", "_1", ...) in left-to-right depth-first encounter order."""
-    names: dict[LogicVar, str] = {}
-    stack = [walk_star(t, s)]
-    # stack-based DFS; children pushed in reverse so the left side pops first
-    while stack:
-        x = stack.pop()
-        if isinstance(x, LogicVar):
-            if x not in names:
-                names[x] = f"_{len(names)}"
-        elif isinstance(x, ConsCell):
-            stack.append(x.cdr)
-            stack.append(x.car)
-        elif isinstance(x, terms._EXPR_TYPE):
-            for item in reversed(tuple(tuple.__iter__(x))):
-                stack.append(item)
-    return names
+    Its id is negative, so it never equals a variable from fresh_var, and it
+    is the same for every call with the same index, which makes
+    reification idempotent and deterministic.
+    """
+    return LogicVar(-1 - index, f"_{index}")
 
 
 def reify(t, s: Substitution):
     """walk_star(t, s) with remaining unbound variables replaced by stable
-    display variables; idempotent."""
-    resolved = walk_star(t, s)
-    mapping: dict[LogicVar, LogicVar] = {}
-    out = []
-    work = [(resolved, 0)]
-    while work:
-        node, phase = work.pop()
-        if phase == 0:
-            if isinstance(node, LogicVar):
-                dv = mapping.get(node)
-                if dv is None:
-                    dv = display_var(len(mapping))
-                    mapping[node] = dv
-                out.append(dv)
-            elif isinstance(node, ConsCell):
-                work.append((node, 1))
-                work.append((node.cdr, 0))
-                work.append((node.car, 0))
-            elif isinstance(node, terms._EXPR_TYPE):
-                work.append((node, 2))
-                for item in reversed(tuple(tuple.__iter__(node))):
-                    work.append((item, 0))
-            else:
-                out.append(node)
-        elif phase == 1:
-            new_cdr = out.pop()
-            new_car = out.pop()
-            if new_car is node.car and new_cdr is node.cdr:
-                out.append(node)
-            else:
-                out.append(ConsCell(new_car, new_cdr))
-        else:
-            n = tuple.__len__(node)
-            items = out[-n:]
-            del out[-n:]
-            if all(a is b for a, b in zip(items, tuple.__iter__(node))):
-                out.append(node)
-            else:
-                out.append(type(node)(items))
-    return out[0]
+    display variables, numbered in left-to-right encounter order;
+    idempotent."""
+    names: dict[LogicVar, LogicVar] = {}
+
+    def rename(v):
+        dv = names.get(v)
+        if dv is None:
+            dv = names[v] = display_var(len(names))
+        return dv
+
+    return _rebuild(t, s, rename)
 
 
 def alpha_eq(a, b) -> bool:
@@ -335,7 +304,6 @@ __all__ = [
     "unify_delta",
     "occurs",
     "reify",
-    "reify_names",
     "display_var",
     "alpha_eq",
     "term_eq",

@@ -4,6 +4,7 @@ import pytest
 
 from relkanren.cli import (
     EXIT_BUDGET,
+    EXIT_ERROR,
     EXIT_NO_ANSWERS,
     EXIT_OK,
     EXIT_PARSE_ERROR,
@@ -209,3 +210,17 @@ def test_query_typeo(capsys, monkeypatch):
     )
     assert code == EXIT_OK
     assert out == "2\n4\n"
+
+
+def test_query_crash_exits_five_with_one_line(capsys, monkeypatch):
+    code, out, err = invoke(
+        capsys,
+        monkeypatch,
+        ["query", "--goal", "(run 0 ?x (permuteo ?x ?y))"],
+    )
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err == (
+        "GroundednessError: permuteo needs at least one argument "
+        "with a known list spine\n"
+    )

@@ -16,10 +16,12 @@ from relkanren import (
     ground_order,
     groundedness_score,
     lall,
+    list_from_term,
     make_expr,
     membero,
     nil,
     permuteo,
+    print_term,
     reduceo,
     run,
     term_eq,
@@ -27,6 +29,7 @@ from relkanren import (
     walko,
 )
 from relkanren.rules import math_reduce_rule
+from relkanren.terms import spine_elements
 
 ADD = Symbol("add")
 MUL = Symbol("mul")
@@ -78,6 +81,17 @@ def _items(t):
         out.append(t.car)
         t = t.cdr
     return out
+
+
+def test_expr_tail_is_part_of_the_list_spine():
+    t = cons(1, make_expr(ADD, 2, 3))
+    assert list_from_term(t) == [1, ADD, 2, 3]
+    assert spine_elements(t) == list_from_term(t)
+    assert print_term(t) == "(1 add 2 3)"
+    q = fresh_var()
+    answers = run(0, q, permuteo(t, q))
+    assert len(answers) == 24
+    assert len({print_term(a) for a in answers}) == 24
 
 
 def test_permuteo_ground_multiset_check():

@@ -102,6 +102,17 @@ def test_reify_numbers_fresh_vars():
     assert items[0] is not items[1]
 
 
+def test_reify_names_unbound_vars_in_encounter_order():
+    a, b, c = fresh_var(), fresh_var(), fresh_var()
+    s = unify(c, make_expr(Symbol("add"), b, 1), EMPTY)
+    out = reify(term_from_list([c, a, b]), s)
+    expr, first, second = out.car, out.cdr.car, out.cdr.cdr.car
+    assert expr[1] is second
+    assert first is not second
+    assert (second.hint, first.hint) == ("_0", "_1")
+    assert term_eq(reify(out, EMPTY), out)
+
+
 def test_reify_with_bound_tail():
     cdr_var = fresh_var()
     s = unify(cdr_var, term_from_list([2, 3]), EMPTY)
