@@ -43,9 +43,6 @@ from .unify import (
     walk_star,
 )
 from .constraints import (
-    ConstraintStoreSet,
-    DisequalityStore,
-    PredicateStore,
     UnknownPredicateError,
     neq,
     predicate_names,

@@ -6,9 +6,10 @@ answers one per line.  ``relkanren query`` runs a small goal program.
 
 Exit codes: 0 with at least one answer, 1 with none, 2 on step-budget
 exhaustion (partial answers flushed, diagnostic on stderr), 3 for an
-unknown ruleset name, 4 for a parse error, 5 for any other error (one
+unknown ruleset name, 4 for a parse error or an invalid command line or
+``RELKANREN_MAX_STEPS`` (``--help`` exits 0), 5 for any other error (one
 line on stderr naming the exception; answers printed before it stay).
-All diagnostics go to stderr; only answer lines go to the output channel.
+Every error is one line on stderr; only answer lines go to the output.
 """
 
 from __future__ import annotations
@@ -18,12 +19,11 @@ import os
 import sys
 
 from .constraints import UnknownPredicateError, neq, type_constraint
-from .goals import ALL, StepBudgetExceeded, eq, iter_solutions, step_budget
+from .goals import ALL, StepBudgetExceeded, eq, iter_solutions, lany, step_budget
 from .relations import conso, membero, permuteo, reduceo, walko
 from .rules import builtin_rulesets, default_registry
 from .sexpr import ParseError, parse_sexpr, print_term
-from .terms import LogicVar, Symbol, list_from_term, term_eq, term_hash, fresh_var
-from .goals import lany
+from .terms import LogicVar, Symbol, list_from_term, term_eq, fresh_var
 
 EXIT_OK = 0
 EXIT_NO_ANSWERS = 1
@@ -41,14 +41,29 @@ class _CliError(Exception):
         self.code = code
 
 
-def _default_budget() -> int:
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if not raw:
-        return 0
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 4 with one stderr line."""
+
+    def error(self, message):
+        raise _CliError(f"{self.prog}: {message}", EXIT_PARSE_ERROR)
+
+
+def _count(text) -> int:
+    """An answer limit or step budget: an integer >= 0, where 0 is none."""
     try:
-        return int(raw)
+        n = int(text)
     except ValueError:
-        return 0
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return n
+
+
+def _default_budget() -> int:
+    try:
+        return _count(os.environ.get(BUDGET_ENV_VAR) or "0")
+    except argparse.ArgumentTypeError as exc:
+        raise _CliError(f"{BUDGET_ENV_VAR}: {exc}", EXIT_PARSE_ERROR) from None
 
 
 def _read_input(path):
@@ -89,11 +104,11 @@ class _Emitter:
         """Print one answer; returns False once the answer limit is hit."""
         if self.skip is not None and term_eq(term, self.skip):
             return True
-        key = (term_hash(term), print_term(term))
-        if key in self.seen:
+        line = print_term(term)
+        if line in self.seen:
             return True
-        self.seen.add(key)
-        self.out.write(print_term(term) + "\n")
+        self.seen.add(line)
+        self.out.write(line + "\n")
         self.out.flush()
         self.count += 1
         return not (self.limit and self.count >= self.limit)
@@ -218,7 +233,7 @@ def cmd_query(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="relkanren",
         description="Relational term rewriting with statistical-model rules.",
     )
@@ -231,9 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="input file with one s-expression term (default: stdin)")
     rw.add_argument("--output", default=None, metavar="PATH",
                     help="answer sink (default: stdout)")
-    rw.add_argument("--max-answers", type=int, default=0, metavar="N",
+    rw.add_argument("--max-answers", type=_count, default=0, metavar="N",
                     help="answer limit; 0 means all (default: 0)")
-    rw.add_argument("--max-steps", type=int, default=_default_budget(), metavar="M",
+    rw.add_argument("--max-steps", type=_count, default=_default_budget(), metavar="M",
                     help="step budget; 0 means unlimited "
                          f"(default: ${BUDGET_ENV_VAR} or 0)")
     rw.add_argument("--mode", choices=("walk", "reduce"), default="walk",
@@ -245,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--goal", required=True, metavar="SEXPR",
                    help="e.g. '(run 0 ?x (membero ?x (1 2 3)))'")
     q.add_argument("--output", default=None, metavar="PATH")
-    q.add_argument("--max-steps", type=int, default=_default_budget(), metavar="M")
+    q.add_argument("--max-steps", type=_count, default=_default_budget(), metavar="M")
     q.set_defaults(func=cmd_query)
 
     epilog = ["builtin rulesets:"]
@@ -256,9 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _CliError as exc:
         print(str(exc), file=sys.stderr)

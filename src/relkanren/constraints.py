@@ -1,13 +1,17 @@
-"""Constraint stores attached to states: disequality and predicate constraints.
+"""Disequality and predicate constraints attached to states.
 
-Stores are immutable persistent values.  Validation runs after each
-successful unification (inside ``eq``'s extension path); a store that can
-no longer be satisfied rejects the state by returning None from
-:func:`revalidate`.
+A state's constraints are one immutable pair of tuples
+``(prohibited, typed)``.  ``prohibited`` holds the minimal binding-sets,
+each a tuple of ``(variable, term)`` pairs, that must never all hold at
+once; ``typed`` holds ``(target, predicate name)`` pairs waiting until
+their target is ground.  ``neq`` and ``type_constraint`` append to the
+pair; after each unification that adds bindings, ``eq`` calls
+:func:`revalidate`, which prunes it or rejects the state with None.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable
 
 from .terms import ConsCell, ExprTerm, LogicVar, Symbol, is_ground, nil, to_term
@@ -55,118 +59,37 @@ def predicate_names():
     return tuple(_PREDICATES)
 
 
-class DisequalityStore:
-    """Prohibited binding-sets: maps of var -> term that must never all be
-    entailed by the substitution at once."""
+def revalidate(constraints, s: Substitution):
+    """Recheck every constraint after s was extended by a unification.
 
-    __slots__ = ("prohibited",)
-
-    KIND = "disequality"
-
-    def __init__(self, prohibited=()):
-        self.prohibited = tuple(prohibited)
-
-    def with_set(self, binding_set) -> "DisequalityStore":
-        return DisequalityStore(self.prohibited + (tuple(binding_set),))
-
-    def revalidate(self, s: Substitution):
-        """Re-check every binding-set; None on violation, pruned store else."""
-        kept = []
-        for bset in self.prohibited:
-            delta = unify_delta(list(bset), s)
-            if delta is None:
-                continue  # permanently impossible: drop
-            if not delta:
-                return None  # fully entailed: violated
-            kept.append(tuple(delta.items()))
-        return DisequalityStore(kept)
-
-    def is_empty(self) -> bool:
-        return not self.prohibited
-
-
-class PredicateStore:
-    """Named ground-term predicates attached to terms (usually variables).
-
-    A predicate is decided only once its target is fully ground; until
-    then it is retained verbatim.
+    Returns the constraints that still wait on unbound variables, or None
+    when one is violated.  A binding-set that can no longer all hold is
+    dropped; one whose bindings all hold violates its disequality.  A
+    predicate whose target has become ground is checked and discharged.
     """
-
-    __slots__ = ("entries",)
-
-    KIND = "predicate"
-
-    def __init__(self, entries=None):
-        self.entries = dict(entries) if entries else {}
-
-    def with_predicates(self, target, names) -> "PredicateStore":
-        merged = dict(self.entries)
-        merged[target] = merged.get(target, frozenset()) | frozenset(names)
-        return PredicateStore(merged)
-
-    def revalidate(self, s: Substitution):
-        kept = {}
-        for target, names in self.entries.items():
-            val = walk_star(target, s)
-            if is_ground(val):
-                for name in names:
-                    if not _PREDICATES[name](val):
-                        return None
-                continue  # all satisfied: discharge
-            kept[target] = kept.get(target, frozenset()) | names
-        return PredicateStore(kept)
-
-    def is_empty(self) -> bool:
-        return not self.entries
-
-
-class ConstraintStoreSet:
-    """The per-state collection of constraint stores, keyed by kind."""
-
-    __slots__ = ("stores",)
-
-    def __init__(self, stores=None):
-        self.stores = dict(stores) if stores else {}
-
-    @classmethod
-    def empty(cls) -> "ConstraintStoreSet":
-        return cls()
-
-    def get(self, kind: str):
-        return self.stores.get(kind)
-
-    def with_store(self, store) -> "ConstraintStoreSet":
-        stores = dict(self.stores)
-        stores[store.KIND] = store
-        return ConstraintStoreSet(stores)
-
-    def revalidate(self, s: Substitution):
-        """Revalidate every store; None when any is violated."""
-        new_stores = {}
-        for kind, store in self.stores.items():
-            updated = store.revalidate(s)
-            if updated is None:
-                return None
-            if not updated.is_empty():
-                new_stores[kind] = updated
-        return ConstraintStoreSet(new_stores)
-
-    def is_empty(self) -> bool:
-        return not self.stores
-
-
-EMPTY_STORES = ConstraintStoreSet.empty()
-
-
-def revalidate(stores: ConstraintStoreSet, s: Substitution):
-    """Module-level revalidation hook used by ``eq`` after each extension."""
-    return stores.revalidate(s)
+    prohibited, typed = constraints
+    kept_sets = []
+    for bset in prohibited:
+        delta = unify_delta(bset, s)
+        if delta is None:
+            continue
+        if not delta:
+            return None
+        kept_sets.append(tuple(delta.items()))
+    kept_typed = []
+    for target, name in typed:
+        val = walk_star(target, s)
+        if not is_ground(val):
+            kept_typed.append((target, name))
+        elif not _PREDICATES[name](val):
+            return None
+    return tuple(kept_sets), tuple(kept_typed)
 
 
 def neq(u, v):
     """A goal prohibiting u and v from ever becoming structurally equal.
 
-    A trial unification decides the store change: failure means the
+    A trial unification decides what to record: failure means the
     disequality already holds (no change); success with no new bindings
     means the terms are already equal (fail); otherwise the delta bindings
     are recorded as a prohibited binding-set.
@@ -181,9 +104,8 @@ def neq(u, v):
             return
         if not delta:
             return
-        store = state.constraints.get(DisequalityStore.KIND) or DisequalityStore()
-        stores = state.constraints.with_store(store.with_set(delta.items()))
-        yield state.with_constraints(stores)
+        prohibited, typed = state.constraints
+        yield replace(state, constraints=(prohibited + (tuple(delta.items()),), typed))
 
     return neq_goal
 
@@ -205,8 +127,7 @@ def type_constraint(v, kind: str):
                 yield state
             return
         target = walk(v, state.subst) if isinstance(v, LogicVar) else v
-        store = state.constraints.get(PredicateStore.KIND) or PredicateStore()
-        stores = state.constraints.with_store(store.with_predicates(target, (kind,)))
-        yield state.with_constraints(stores)
+        prohibited, typed = state.constraints
+        yield replace(state, constraints=(prohibited, typed + ((target, kind),)))
 
     return type_goal

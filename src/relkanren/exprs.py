@@ -1,8 +1,8 @@
 """Evaluation of operator-application terms and the operator registry.
 
 An :class:`~relkanren.terms.ExprTerm` (defined with the other terms and
-re-exported here) evaluates against an :class:`OperatorRegistry`, caching
-the result.
+re-exported here) evaluates against an :class:`OperatorRegistry`, whose
+memo caches the result.
 
 Operators are named by :class:`~relkanren.terms.Symbol` and resolved through
 the registry at evaluation time, which keeps terms serializable and keeps
@@ -148,7 +148,9 @@ def eval_expr(e: ExprTerm, reg: OperatorRegistry):
     """Evaluate a ground expression term bottom-up, memoizing results.
 
     Repeated evaluation and evaluation of a reconstruction from identical
-    items both hit the cache without re-invoking the operator functions.
+    items both hit the registry's memo without re-invoking the operator
+    functions.  Iterative, so operand chains and list operands of any
+    depth evaluate without exhausting the interpreter stack.
     """
     if not isinstance(e, ExprTerm):
         raise TypeError(f"not an expression term: {e!r}")
@@ -157,31 +159,49 @@ def eval_expr(e: ExprTerm, reg: OperatorRegistry):
     return _eval(e, reg)
 
 
+_CONS = object()
+
+
 def _eval(t, reg):
-    if isinstance(t, ExprTerm):
-        cached = getattr(t, "_cache", None)
-        if cached is not None and cached[0] is reg:
-            return cached[1]
-        if t in reg._memo:
-            val = reg._memo[t]
-            t._cache = (reg, val)
-            return val
-        items = tuple(tuple.__iter__(t))
-        op = items[0]
-        if not isinstance(op, Symbol):
-            raise UnknownOperatorError(f"operator position is not a symbol: {op!r}")
-        opdef = reg.get(op.name)
-        args = [_eval(x, reg) for x in items[1:]]
-        if opdef.arity is not None and len(args) != opdef.arity:
-            raise ArityError(
-                f"{op.name} expects {opdef.arity} operand(s), got {len(args)}"
-            )
-        if opdef.eval_fn is None:
-            raise EvalError(f"operator {op.name} is not evaluable")
-        val = opdef.eval_fn(args)
-        reg._memo[t] = val
-        t._cache = (reg, val)
-        return val
-    if isinstance(t, ConsCell):
-        return ConsCell(_eval(t.car, reg), _eval(t.cdr, reg))
-    return t
+    # work items are (node, None) to visit a node, (cell, _CONS) to rebuild
+    # a cons cell from its evaluated parts, and (expr, opdef) to apply an
+    # operator to its evaluated operands; values collect on `out`
+    memo = reg._memo
+    out = []
+    work = [(t, None)]
+    while work:
+        node, frame = work.pop()
+        if frame is None:
+            if isinstance(node, ExprTerm):
+                if node in memo:
+                    out.append(memo[node])
+                    continue
+                op = tuple.__getitem__(node, 0)
+                if not isinstance(op, Symbol):
+                    raise UnknownOperatorError(f"operator position is not a symbol: {op!r}")
+                work.append((node, reg.get(op.name)))
+                for item in reversed(tuple.__getitem__(node, slice(1, None))):
+                    work.append((item, None))
+            elif isinstance(node, ConsCell):
+                work.append((node, _CONS))
+                work.append((node.cdr, None))
+                work.append((node.car, None))
+            else:
+                out.append(node)
+        elif frame is _CONS:
+            new_cdr = out.pop()
+            out[-1] = ConsCell(out[-1], new_cdr)
+        else:
+            k = len(out) - (tuple.__len__(node) - 1)
+            args = out[k:]
+            del out[k:]
+            if frame.arity is not None and len(args) != frame.arity:
+                raise ArityError(
+                    f"{frame.name} expects {frame.arity} operand(s), got {len(args)}"
+                )
+            if frame.eval_fn is None:
+                raise EvalError(f"operator {frame.name} is not evaluable")
+            val = frame.eval_fn(args)
+            memo[node] = val
+            out.append(val)
+    return out[0]

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import itertools
 from contextvars import ContextVar
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .constraints import ConstraintStoreSet, EMPTY_STORES, revalidate
+from .constraints import revalidate
 from .terms import to_term
 from .unify import EMPTY_SUBST, Substitution, reify, unify
 
@@ -45,17 +45,11 @@ def _tick():
 
 @dataclass(frozen=True)
 class State:
-    """One node of the relational search: substitution plus constraints."""
+    """One node of the relational search: a substitution plus the
+    ``(prohibited, typed)`` pair of :mod:`relkanren.constraints`."""
 
-    subst: Substitution
-    constraints: ConstraintStoreSet
-
-    @classmethod
-    def initial(cls) -> "State":
-        return cls(EMPTY_SUBST, EMPTY_STORES)
-
-    def with_constraints(self, stores: ConstraintStoreSet) -> "State":
-        return replace(self, constraints=stores)
+    subst: Substitution = EMPTY_SUBST
+    constraints: tuple = ((), ())
 
 
 def succeed(state):
@@ -68,7 +62,7 @@ def fail(state):
 
 def eq(u, v):
     """The unification goal.  Succeeds with one extended state when the
-    terms unify and every constraint store revalidates."""
+    terms unify and every constraint still holds."""
     u = to_term(u)
     v = to_term(v)
 
@@ -79,10 +73,10 @@ def eq(u, v):
         if s2 is state.subst:
             yield state
             return
-        stores = revalidate(state.constraints, s2)
-        if stores is None:
+        constraints = revalidate(state.constraints, s2)
+        if constraints is None:
             return
-        yield State(s2, stores)
+        yield State(s2, constraints)
 
     return eq_goal
 
@@ -161,7 +155,7 @@ def delay(thunk):
 
 def _solutions(query, goals):
     query = to_term(query)
-    stream = lall(*goals)(State.initial())
+    stream = lall(*goals)(State())
     for st in stream:
         yield reify(query, st.subst)
 

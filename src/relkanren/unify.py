@@ -179,7 +179,7 @@ def _rebuild(t, s: Substitution, on_var):
 
     Visits nodes left to right, depth first.  A cons cell or expression
     term whose parts all come back unchanged is kept as is, which also
-    keeps its memoized hash and evaluation cache.
+    keeps its memoized hash.
     """
     # most calls (constraint targets) resolve one variable: no work stack
     if isinstance(t, LogicVar):
@@ -262,37 +262,12 @@ def reify(t, s: Substitution):
 
 
 def alpha_eq(a, b) -> bool:
-    """Structural equality up to a consistent renaming of logic variables."""
-    fwd: dict[int, int] = {}
-    bwd: dict[int, int] = {}
-    stack = [(a, b)]
-    while stack:
-        a, b = stack.pop()
-        a_var = isinstance(a, LogicVar)
-        b_var = isinstance(b, LogicVar)
-        if a_var or b_var:
-            if not (a_var and b_var):
-                return False
-            if fwd.setdefault(a.id, b.id) != b.id:
-                return False
-            if bwd.setdefault(b.id, a.id) != a.id:
-                return False
-            continue
-        a_app = is_application(a)
-        b_app = is_application(b)
-        if a_app and b_app:
-            stack.append((cdr(a), cdr(b)))
-            stack.append((car(a), car(b)))
-            continue
-        if a_app or b_app:
-            return False
-        if a is nil or b is nil:
-            if a is not b:
-                return False
-            continue
-        if type(a) is not type(b) or a != b:
-            return False
-    return True
+    """Structural equality up to a consistent renaming of logic variables.
+
+    Reification renames variables in encounter order, so two terms are
+    renamings of each other exactly when their reifications are equal.
+    """
+    return term_eq(reify(a, EMPTY_SUBST), reify(b, EMPTY_SUBST))
 
 
 __all__ = [

@@ -224,3 +224,46 @@ def test_query_crash_exits_five_with_one_line(capsys, monkeypatch):
         "GroundednessError: permuteo needs at least one argument "
         "with a known list spine\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rewrite"],
+        ["rewrite", "--rules", "math", "--mode", "sideways"],
+        ["rewrite", "--rules", "math", "--max-steps", "many"],
+        ["rewrite", "--rules", "math", "--max-steps", "-3"],
+        ["rewrite", "--rules", "math", "--max-answers", "-1"],
+        ["query", "--goal", "(run 0 ?x (eq ?x 1))", "--max-steps", "1.5"],
+    ],
+    ids=[
+        "missing-rules",
+        "bad-mode",
+        "non-integer-steps",
+        "negative-steps",
+        "negative-answers",
+        "query-decimal-steps",
+    ],
+)
+def test_usage_error_exits_four_with_one_line(capsys, monkeypatch, argv):
+    code, out, err = invoke(capsys, monkeypatch, argv, stdin="(add 5 5)")
+    assert code == EXIT_PARSE_ERROR
+    assert out == ""
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_malformed_budget_env_var_exits_four(capsys, monkeypatch):
+    monkeypatch.setenv("RELKANREN_MAX_STEPS", "10k")
+    code, out, err = invoke(
+        capsys, monkeypatch, ["rewrite", "--rules", "math"], stdin="(add 5 5)"
+    )
+    assert code == EXIT_PARSE_ERROR
+    assert out == ""
+    assert err == "RELKANREN_MAX_STEPS: expected an integer >= 0, got '10k'\n"
+
+
+def test_help_exits_zero(capsys, monkeypatch):
+    with pytest.raises(SystemExit) as info:
+        invoke(capsys, monkeypatch, ["--help"])
+    assert info.value.code == 0
+    assert "usage: relkanren" in capsys.readouterr().out

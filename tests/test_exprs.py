@@ -105,6 +105,27 @@ def test_eval_non_ground():
         eval_expr(make_expr(ADD, 1, fresh_var()), reg)
 
 
+def test_eval_non_ground_runs_no_operator():
+    calls = []
+    reg = OperatorRegistry()
+    reg.register(OperatorDef("add", 2, lambda args: calls.append(1) or args[0] + args[1]))
+    with pytest.raises(NonGroundError):
+        eval_expr(make_expr(ADD, make_expr(ADD, 1, 2), fresh_var()), reg)
+    assert calls == []
+
+
+def test_eval_deep_operand_chain():
+    t = 0
+    for _ in range(10_000):
+        t = make_expr(ADD, t, 1)
+    assert eval_expr(t, builtin_registry()) == 10_000
+
+
+def test_eval_long_list_operand():
+    e = make_expr(Symbol("sum"), term_from_list(range(10_000)))
+    assert eval_expr(e, builtin_registry()) == sum(range(10_000))
+
+
 def test_eval_caches_per_instance():
     calls = []
     reg = OperatorRegistry()
