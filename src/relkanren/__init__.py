@@ -14,7 +14,6 @@ from .terms import (
     is_ground,
     list_from_term,
     nil,
-    term_eq,
     term_from_list,
     term_hash,
     to_term,
@@ -38,6 +37,7 @@ from .unify import (
     alpha_eq,
     occurs,
     reify,
+    term_eq,
     unify,
     walk,
     walk_star,

@@ -23,7 +23,8 @@ from .goals import ALL, StepBudgetExceeded, eq, iter_solutions, lany, step_budge
 from .relations import conso, membero, permuteo, reduceo, walko
 from .rules import builtin_rulesets, default_registry
 from .sexpr import ParseError, parse_sexpr, print_term
-from .terms import LogicVar, Symbol, list_from_term, term_eq, fresh_var
+from .terms import LogicVar, Symbol, list_from_term, fresh_var
+from .unify import term_eq
 
 EXIT_OK = 0
 EXIT_NO_ANSWERS = 1

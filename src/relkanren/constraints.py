@@ -100,12 +100,11 @@ def neq(u, v):
     def neq_goal(state):
         delta = unify_delta([(u, v)], state.subst)
         if delta is None:
-            yield state
-            return
+            return (state,)
         if not delta:
-            return
+            return ()
         prohibited, typed = state.constraints
-        yield replace(state, constraints=(prohibited + (tuple(delta.items()),), typed))
+        return (replace(state, constraints=(prohibited + (tuple(delta.items()),), typed)),)
 
     return neq_goal
 
@@ -123,11 +122,9 @@ def type_constraint(v, kind: str):
     def type_goal(state):
         val = walk_star(v, state.subst)
         if is_ground(val):
-            if _PREDICATES[kind](val):
-                yield state
-            return
+            return (state,) if _PREDICATES[kind](val) else ()
         target = walk(v, state.subst) if isinstance(v, LogicVar) else v
         prohibited, typed = state.constraints
-        yield replace(state, constraints=(prohibited, typed + ((target, kind),)))
+        return (replace(state, constraints=(prohibited, typed + ((target, kind),))),)
 
     return type_goal

@@ -1,14 +1,20 @@
-"""States, lazy interleaving streams, core goals, and the run interface.
+"""States, core goals, the search loop, and the run interface.
 
-A goal is a function from a state to an iterator of states.  Conjunction
-threads each state through successive goals; disjunction interleaves
-answers between branches so a finitely productive branch cannot be starved
-by an infinite sibling.
+A goal is a callable from a state to an iterable of states; ``eq``,
+``succeed``, ``fail`` and the constraint goals return a tuple of at most
+one state.  The combinators ``lall``, ``lany`` and ``delay`` return data
+that one loop, :func:`_search`, runs.  Conjunction threads each state
+through successive goals; a disjunction serves its branches in turn, one
+answer each, so a finitely productive branch cannot be starved by an
+infinite sibling.  The loop holds the search tree as data, so no search
+grows the interpreter stack, and charges the step budget once per
+iteration.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from contextvars import ContextVar
 from dataclasses import dataclass
 
@@ -34,15 +40,6 @@ class StepBudgetExceeded(RuntimeError):
 _budget: ContextVar = ContextVar("relkanren_step_budget", default=None)
 
 
-def _tick():
-    cell = _budget.get()
-    if cell is None:
-        return
-    cell[0] -= 1
-    if cell[0] < 0:
-        raise StepBudgetExceeded()
-
-
 @dataclass(frozen=True)
 class State:
     """One node of the relational search: a substitution plus the
@@ -53,11 +50,11 @@ class State:
 
 
 def succeed(state):
-    yield state
+    return (state,)
 
 
 def fail(state):
-    return iter(())
+    return ()
 
 
 def eq(u, v):
@@ -69,69 +66,39 @@ def eq(u, v):
     def eq_goal(state):
         s2 = unify(u, v, state.subst)
         if s2 is None:
-            return
+            return ()
         if s2 is state.subst:
-            yield state
-            return
+            return (state,)
         constraints = revalidate(state.constraints, s2)
         if constraints is None:
-            return
-        yield State(s2, constraints)
+            return ()
+        return (State(s2, constraints),)
 
     return eq_goal
 
 
+class _Goal:
+    """A combinator goal: ``kind`` is "all", "any" or "delay" and ``arg``
+    its goals or thunk.  Calling it runs its own search."""
+
+    __slots__ = ("kind", "arg")
+
+    def __init__(self, kind, arg):
+        self.kind = kind
+        self.arg = arg
+
+    def __call__(self, state):
+        return _search(self, state)
+
+
 def lall(*goals):
     """Conjunction: thread each state through the goals in order."""
-
-    def lall_goal(state):
-        def pipe(stream, remaining):
-            if not remaining:
-                yield from stream
-                return
-            g, rest = remaining[0], remaining[1:]
-            for s in stream:
-                _tick()
-                yield from pipe(g(s), rest)
-
-        yield from pipe(iter((state,)), goals)
-
-    return lall_goal
-
-
-def _interleave2(a, b):
-    # alternate answers between two streams; drain the survivor
-    while True:
-        _tick()
-        try:
-            x = next(a)
-        except StopIteration:
-            for y in b:
-                _tick()
-                yield y
-            return
-        yield x
-        a, b = b, a
-
-
-def _interleave(streams):
-    if not streams:
-        return
-    if len(streams) == 1:
-        for x in streams[0]:
-            _tick()
-            yield x
-        return
-    yield from _interleave2(streams[0], _interleave(streams[1:]))
+    return _Goal("all", goals or (succeed,))
 
 
 def lany(*goals):
-    """Disjunction with fair interleaving of branch answers."""
-
-    def lany_goal(state):
-        yield from _interleave([g(state) for g in goals])
-
-    return lany_goal
+    """Disjunction: the branches answer in turn, one answer each."""
+    return _Goal("any", goals or (fail,))
 
 
 def conde(*clauses):
@@ -140,23 +107,87 @@ def conde(*clauses):
 
 
 def delay(thunk):
-    """Defer goal construction until the stream is demanded.
+    """Defer goal construction until the search reaches it.
 
     Required for self-referential relations so that constructing a goal
     doesn't recurse forever.
     """
+    return _Goal("delay", thunk)
 
-    def delayed_goal(state):
-        _tick()
-        yield from thunk()(state)
 
-    return delayed_goal
+def _expand(goal, state, k):
+    """One step of the pending goal ``(goal, state, k)``, where k is the
+    ``(goal, k)`` chain of conjuncts still to run on its answers.  Returns
+    what takes its place: a pending triple, a node, an answer state, or
+    None when the branch has failed."""
+    if goal.__class__ is _Goal:
+        kind, arg = goal.kind, goal.arg
+        if kind == "all":
+            for i in range(len(arg) - 1, 0, -1):
+                k = (arg[i], k)
+            return arg[0], state, k
+        if kind == "any":
+            return [deque([(g, state, k) for g in arg]), None, None]
+        return arg(), state, k
+    out = goal(state)
+    if out.__class__ is tuple and len(out) < 2:
+        if not out:
+            return None
+        return out[0] if k is None else (k[0], out[0], k[1])
+    return [deque(), iter(out), k]
+
+
+def _search(goal, state):
+    """Yield the answer states of goal run from state.
+
+    A node of the search tree is ``[kids, source, k]``: a deque of kids
+    (pending triples and child nodes), served in turn, and an iterator of
+    states from a goal that is not a combinator, or None.  Each source
+    state, continued with the conjuncts k, becomes the next kid once the
+    kids have run out.  A kid keeps its node's turn until it answers or
+    runs out; ``path`` holds the nodes from the top to the one served.
+    """
+    path = []
+    kid = (goal, state, None)
+    cell = _budget.get()
+    while True:
+        if cell is not None:
+            cell[0] -= 1
+            if cell[0] < 0:
+                raise StepBudgetExceeded()
+        cls = kid.__class__
+        if cls is tuple:
+            kid = _expand(*kid)
+        elif cls is list:
+            path.append(kid)
+            kid = None
+        elif kid is None:
+            if not path:
+                return
+            kids, source, k = path[-1]
+            if kids:
+                if source is None and len(kids) == 1:
+                    path.pop()  # a disjunction left with one branch is that branch
+                kid = kids.popleft()
+                continue
+            s = None if source is None else next(source, None)
+            if s is None:
+                path.pop()
+            else:
+                kid = s if k is None else (k[0], s, k[1])
+        else:
+            # an answer: each node on the path goes to the back of its parent
+            for parent, child in zip(path, path[1:]):
+                parent[0].append(child)
+            del path[1:]
+            yield kid
+            kid = None
+            cell = _budget.get()
 
 
 def _solutions(query, goals):
     query = to_term(query)
-    stream = lall(*goals)(State())
-    for st in stream:
+    for st in _search(lall(*goals), State()):
         yield reify(query, st.subst)
 
 
@@ -180,10 +211,10 @@ def iter_solutions(query, *goals):
 
 
 class step_budget:
-    """Context manager imposing a step budget on streams pulled within it.
+    """Context manager imposing a step budget on searches pulled within it.
 
-    Stream evaluation raises :class:`StepBudgetExceeded` once ``budget``
-    steps have been spent.  A budget of 0 or None means unlimited.
+    A search raises :class:`StepBudgetExceeded` once ``budget`` steps (search
+    loop iterations) have been spent.  A budget of 0 or None means unlimited.
     """
 
     def __init__(self, budget):
@@ -200,7 +231,7 @@ class step_budget:
 
 
 def run_bounded(n, budget, query, *goals):
-    """Like run, but stop after ``budget`` stream-evaluation steps.
+    """Like run, but stop after ``budget`` search steps.
 
     Returns (answers, exhausted): the answers found so far and whether the
     budget ran out before the stream was done.  A budget of 0 or None means

@@ -23,13 +23,12 @@ from .terms import (
     is_ground,
     nil,
     spine_elements,
-    term_eq,
     term_from_list,
     term_hash,
     to_term,
 )
 from .goals import conde, delay, eq, lall
-from .unify import Substitution, walk, walk_star
+from .unify import Substitution, term_eq, walk, walk_star
 
 
 class GroundednessError(Exception):
@@ -76,6 +75,16 @@ def _multiset(elems):
     return counts
 
 
+def _distinct_permutations(items):
+    """Each ordering of items once, in itertools.permutations order."""
+    seen = set()
+    for perm in itertools.permutations(items):
+        key = tuple(_Key(x) for x in perm)
+        if key not in seen:
+            seen.add(key)
+            yield perm
+
+
 def permuteo(a, b):
     """Holds iff a and b are proper lists that are multiset-equal.
 
@@ -106,12 +115,7 @@ def permuteo(a, b):
             src, dst = a_elems, bw
         else:
             src, dst = b_elems, aw
-        seen = set()
-        for perm in itertools.permutations(src):
-            key = tuple(_Key(x) for x in perm)
-            if key in seen:
-                continue
-            seen.add(key)
+        for perm in _distinct_permutations(src):
             yield from eq(term_from_list(perm), dst)(state)
 
     return permuteo_goal
@@ -123,21 +127,15 @@ def reduceo(rel, u, v):
     The deeper-reduction branch is tried first, so the first answer for a
     ground u is its most-reduced reachable form.
     """
-    u = to_term(u)
     v = to_term(v)
-
-    def reduceo_goal(state):
-        step = fresh_var()
-        g = lall(
-            rel(u, step),
-            conde(
-                [delay(lambda: reduceo(rel, step, v))],
-                [eq(step, v)],
-            ),
-        )
-        yield from g(state)
-
-    return reduceo_goal
+    step = fresh_var()
+    return lall(
+        rel(to_term(u), step),
+        conde(
+            [delay(lambda: reduceo(rel, step, v))],
+            [eq(step, v)],
+        ),
+    )
 
 
 def walko(rel, u, v, rator_rel=None):
@@ -242,12 +240,7 @@ def eq_comm(u, v, reg: OperatorRegistry):
                 if ru is not None and rv is not None:
                     if len(ru) != len(rv):
                         return
-                    seen = set()
-                    for perm in itertools.permutations(ru):
-                        key = tuple(_Key(x) for x in perm)
-                        if key in seen:
-                            continue
-                        seen.add(key)
+                    for perm in _distinct_permutations(ru):
                         pairs = ground_order(list(zip(perm, rv)), s)
                         g = lall(*(eq(x, y) for x, y in pairs))
                         yield from g(state)

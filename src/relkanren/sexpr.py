@@ -18,6 +18,7 @@ from .terms import ConsCell, ExprTerm, LogicVar, Symbol, fresh_var, nil, spine
 _INT_RE = re.compile(r"[+-]?[0-9]+\Z")
 _FLOAT_RE = re.compile(r"[+-]?([0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)([eE][+-]?[0-9]+)?\Z")
 _DELIMS = set(' \t\r\n()";')
+_DOT = object()
 
 
 class ParseError(Exception):
@@ -63,57 +64,64 @@ class _Reader:
         return self.i >= len(self.text)
 
     def read(self):
-        self.skip_ws()
-        if self.i >= len(self.text):
-            raise self.error("unexpected end of input")
-        c = self.text[self.i]
-        if c == "(":
-            return self.read_list()
-        if c == ")":
-            raise self.error("unbalanced ')'")
-        if c == '"':
-            return self.read_string()
-        return self.read_atom()
-
-    def read_list(self):
-        open_at = self.i
-        self.i += 1
-        items = []
-        tail = nil
-        saw_dot = False
+        """Read one term.  Lists still open wait on an explicit stack of
+        ``[open_at, items, tail]`` frames, so nesting depth is not bounded
+        by the interpreter stack.  tail is None until a lone dot, then
+        _DOT while the tail term is read."""
+        text, n = self.text, len(self.text)
+        stack = []
         while True:
             self.skip_ws()
-            if self.i >= len(self.text):
-                raise self.error("unbalanced '('", open_at)
-            c = self.text[self.i]
+            in_list = stack and stack[-1][2] is None
+            if self.i >= n:
+                if in_list:
+                    raise self.error("unbalanced '('", stack[-1][0])
+                raise self.error("unexpected end of input")
+            c = text[self.i]
+            if c == "(":
+                stack.append([self.i, [], None])
+                self.i += 1
+                continue
+            if c == ")" and not in_list:
+                raise self.error("unbalanced ')'")
+            if in_list and c == "." and self._is_lone_dot():
+                if not stack[-1][1]:
+                    raise self.error("misplaced '.' in list")
+                stack[-1][2] = _DOT
+                self.i += 1
+                continue
             if c == ")":
                 self.i += 1
-                break
-            if c == "." and self._is_lone_dot():
-                if not items or saw_dot:
-                    raise self.error("misplaced '.' in list")
-                self.i += 1
-                saw_dot = True
-                tail = self.read()
+                term = self._close(stack.pop())
+            else:
+                term = self.read_string() if c == '"' else self.read_atom()
+            while stack:
+                frame = stack[-1]
+                if frame[2] is not _DOT:
+                    frame[1].append(term)
+                    break
+                frame[2] = term
                 self.skip_ws()
-                if self.i >= len(self.text) or self.text[self.i] != ")":
+                if self.i >= n or text[self.i] != ")":
                     raise self.error("expected ')' after dotted tail")
                 self.i += 1
-                break
-            items.append(self.read())
-        if saw_dot:
-            out = tail
-            for x in reversed(items):
-                out = ConsCell(x, out)
-            return out
+                term = self._close(stack.pop())
+            else:
+                return term
+
+    def _close(self, frame):
+        """The term for a finished list: an expression term when it is
+        proper and headed by a registered operator, otherwise cons cells."""
+        _, items, tail = frame
         if (
-            items
+            tail is None
+            and items
             and self.registry is not None
             and isinstance(items[0], Symbol)
             and items[0].name in self.registry
         ):
             return ExprTerm(items)
-        out = nil
+        out = nil if tail is None else tail
         for x in reversed(items):
             out = ConsCell(x, out)
         return out

@@ -5,7 +5,7 @@ Atoms are plain Python values (``int``, ``float``, ``str``, ``bool``) plus
 strict on the variant: the integer ``2`` and the decimal ``2.0`` are distinct
 terms, as are ``True`` and ``1``.
 
-All deep operations here (equality, hashing, list conversion) use explicit
+All deep operations here (hashing, list conversion) use explicit
 work stacks instead of host recursion so that very deep structures do not
 exhaust the interpreter stack.
 """
@@ -110,6 +110,8 @@ class ConsCell:
     def __eq__(self, other):
         if not isinstance(other, (ConsCell, ExprTerm)):
             return NotImplemented
+        from .unify import term_eq
+
         return term_eq(self, other)
 
     def __hash__(self):
@@ -147,6 +149,8 @@ class ExprTerm(tuple):
     def __eq__(self, other):
         if not isinstance(other, (ExprTerm, ConsCell)):
             return NotImplemented
+        from .unify import term_eq
+
         return term_eq(self, other)
 
     def __ne__(self, other):
@@ -315,49 +319,6 @@ def term_hash(t) -> int:
             node._thash = h
             out.append(h)
     return out[0]
-
-
-def _atoms_equal(a, b) -> bool:
-    return type(a) is type(b) and a == b
-
-
-def term_eq(a, b) -> bool:
-    """Structural equality, strict on atom variants.
-
-    Expression terms compare equal to their cons-spine equivalents since
-    unification treats those forms as interchangeable.
-    """
-    stack = [(a, b)]
-    while stack:
-        a, b = stack.pop()
-        if a is b:
-            continue
-        a_app = is_application(a)
-        b_app = is_application(b)
-        if a_app and b_app:
-            if (
-                isinstance(a, ExprTerm)
-                and isinstance(b, ExprTerm)
-                and tuple.__len__(a) == tuple.__len__(b)
-            ):
-                stack.extend(zip(tuple.__iter__(a), tuple.__iter__(b)))
-                continue
-            stack.append((cdr(a), cdr(b)))
-            stack.append((car(a), car(b)))
-            continue
-        if a_app or b_app:
-            return False
-        if isinstance(a, LogicVar) or isinstance(b, LogicVar):
-            if not (isinstance(a, LogicVar) and isinstance(b, LogicVar)):
-                return False
-            if a.id != b.id:
-                return False
-            continue
-        if a is nil or b is nil:
-            return False  # `a is b` above covers nil == nil
-        if not _atoms_equal(a, b):
-            return False
-    return True
 
 
 def is_ground(t) -> bool:

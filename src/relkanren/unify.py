@@ -16,7 +16,6 @@ from .terms import (
     cdr,
     is_application,
     nil,
-    term_eq,
 )
 
 _FAIL = object()
@@ -155,6 +154,12 @@ def unify_delta(pairs, s: Substitution, occurs_check: bool = True):
         if type(u) is not type(v) or u != v:
             return None
     return delta
+
+
+def term_eq(a, b) -> bool:
+    """Structural equality, strict on atom variants: equal terms unify and
+    bind nothing.  An expression term equals its cons spine."""
+    return unify_delta([(a, b)], EMPTY_SUBST, occurs_check=False) == {}
 
 
 def unify(u, v, s: Substitution, occurs_check: bool = True):

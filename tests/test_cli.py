@@ -267,3 +267,28 @@ def test_help_exits_zero(capsys, monkeypatch):
         invoke(capsys, monkeypatch, ["--help"])
     assert info.value.code == 0
     assert "usage: relkanren" in capsys.readouterr().out
+
+
+def test_query_membero_over_a_long_list(capsys, monkeypatch):
+    items = " ".join(str(i) for i in range(2000))
+    code, out, err = invoke(
+        capsys,
+        monkeypatch,
+        ["query", "--goal", f"(run 0 ?x (membero ?x ({items})))"],
+    )
+    assert code == EXIT_OK
+    assert out.splitlines() == [str(i) for i in range(2000)]
+
+
+def test_rewrite_deep_input(capsys, monkeypatch):
+    deep = "1"
+    for _ in range(5000):
+        deep = f"(add {deep} 1)"
+    code, out, err = invoke(
+        capsys,
+        monkeypatch,
+        ["rewrite", "--rules", "math", "--max-answers", "1"],
+        stdin=f"(log (exp {deep}))",
+    )
+    assert code == EXIT_OK
+    assert out == deep + "\n"

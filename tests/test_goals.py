@@ -1,3 +1,7 @@
+import sys
+from collections import Counter
+from contextlib import contextmanager
+
 import pytest
 
 from relkanren import (
@@ -10,12 +14,18 @@ from relkanren import (
     fresh_var,
     lall,
     lany,
+    list_from_term,
+    make_expr,
+    membero,
+    reduceo,
     run,
     run_bounded,
     step_budget,
     succeed,
+    term_eq,
     term_from_list,
 )
+from relkanren.rules import ADD, EXP, LOG, MUL, math_reduce_rule
 
 
 def nats(x, n=0):
@@ -145,3 +155,76 @@ def test_two_infinite_branches_interleave_fairly():
     answers = run(10, x, lany(evens(x), odds(x)))
     assert len([a for a in answers if a % 2 == 0]) == 5
     assert len([a for a in answers if a % 2 == 1]) == 5
+
+
+@contextmanager
+def shallow_stack():
+    """Allow only 60 frames above the caller: a search whose Python stack
+    grows with its size fails inside this block."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def test_membero_over_a_long_list_is_stack_safe():
+    x = fresh_var()
+    with shallow_stack():
+        answers = run(0, x, membero(x, tuple(range(1000))))
+    assert answers == tuple(range(1000))
+
+
+def test_wide_disjunction_and_long_conjunction_are_stack_safe():
+    x = fresh_var()
+    with shallow_stack():
+        wide = run(0, x, lany(*(eq(x, i) for i in range(10_000))))
+        long = run(0, x, lall(*(eq(x, 7) for _ in range(10_000))))
+    assert sorted(wide) == list(range(10_000))
+    assert long == (7,)
+
+
+def test_recursive_relation_is_stack_safe():
+    x = fresh_var()
+    with shallow_stack():
+        answers = run(10_000, x, nats(x))
+    assert answers == tuple(range(10_000))
+
+
+def test_infinite_branches_share_answers_evenly():
+    def tagged(v, tag, n=0):
+        return conde([eq(v, (tag, n))], [delay(lambda: tagged(v, tag, n + 1))])
+
+    x = fresh_var()
+    with shallow_stack():
+        answers = run(600, x, lany(*(tagged(x, tag) for tag in range(6))))
+    shares = Counter(list_from_term(a)[0] for a in answers)
+    assert sorted(shares) == list(range(6))
+    assert all(99 <= n <= 101 for n in shares.values())
+
+
+@pytest.mark.parametrize("wraps", [1, 30])
+def test_reduceo_answers_the_fixed_point_first_on_a_shallow_stack(wraps):
+    term = make_expr(ADD, 5, 5)
+    for _ in range(wraps):
+        term = make_expr(LOG, make_expr(EXP, term))
+    q = fresh_var()
+    with shallow_stack():
+        first = run(1, q, reduceo(math_reduce_rule, term, q))
+    assert len(first) == 1
+    assert term_eq(first[0], make_expr(MUL, 2, 5))
+
+
+def test_budget_stops_an_unproductive_loop():
+    def loop():
+        return delay(loop)
+
+    x = fresh_var()
+    with shallow_stack(), pytest.raises(StepBudgetExceeded):
+        with step_budget(1000):
+            run(1, x, loop())

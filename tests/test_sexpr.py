@@ -183,3 +183,12 @@ def test_deep_print_is_stack_safe():
     t = term_from_list(list(range(50_000)))
     text = print_term(t)
     assert text.startswith("(0 1 2")
+
+
+def test_deep_parse_is_stack_safe():
+    text = "1"
+    for _ in range(10_000):
+        text = f"(add {text} 1)"
+    t = parse_sexpr(text, registry=default_registry())
+    assert isinstance(t, ExprTerm)
+    assert print_term(t) == text
