@@ -126,9 +126,14 @@ def _expand(goal, state, k):
             for i in range(len(arg) - 1, 0, -1):
                 k = (arg[i], k)
             return arg[0], state, k
-        if kind == "any":
-            return [deque([(g, state, k) for g in arg]), None, None]
-        return arg(), state, k
+        if kind == "delay":
+            return arg(), state, k
+        while k is not None and k[0].__class__ is list and not k[0][0]:
+            k = k[1]  # a disjunction left with one branch marks nothing
+        node = [None, None, None]
+        k = (node, k)
+        node[0] = deque([(g, state, k) for g in arg])
+        return node
     out = goal(state)
     if out.__class__ is tuple and len(out) < 2:
         if not out:
@@ -141,11 +146,13 @@ def _search(goal, state):
     """Yield the answer states of goal run from state.
 
     A node of the search tree is ``[kids, source, k]``: a deque of kids
-    (pending triples and child nodes), served in turn, and an iterator of
-    states from a goal that is not a combinator, or None.  Each source
-    state, continued with the conjuncts k, becomes the next kid once the
-    kids have run out.  A kid keeps its node's turn until it answers or
-    runs out; ``path`` holds the nodes from the top to the one served.
+    (pending triples and child nodes), then the states of an iterator
+    from a goal that is not a combinator, each continued with the
+    conjuncts k.  ``path`` holds the nodes from the top to the one served.
+    A disjunction's kids are its branches, and it heads their k: a state
+    that reaches it there is the branch's answer, which runs on before
+    the next branch has its turn.  Left with one branch, it leaves the
+    path and passes such states straight on.
     """
     path = []
     kid = (goal, state, None)
@@ -157,7 +164,21 @@ def _search(goal, state):
                 raise StepBudgetExceeded()
         cls = kid.__class__
         if cls is tuple:
-            kid = _expand(*kid)
+            node = kid[0]
+            if node.__class__ is not list:
+                kid = _expand(*kid)
+                continue
+            s, k = kid[1], kid[2]
+            kid = s if k is None else (k[0], s, k[1])
+            if node[0]:
+                # the branch that answered goes to the back of the
+                # disjunction, and the nodes below it back where they were
+                while path[-1] is not node:
+                    child = path.pop()
+                    if path[-1] is node:
+                        node[0].append(child)
+                    else:
+                        path[-1][0].appendleft(child)
         elif cls is list:
             path.append(kid)
             kid = None
@@ -176,10 +197,6 @@ def _search(goal, state):
             else:
                 kid = s if k is None else (k[0], s, k[1])
         else:
-            # an answer: each node on the path goes to the back of its parent
-            for parent, child in zip(path, path[1:]):
-                parent[0].append(child)
-            del path[1:]
             yield kid
             kid = None
             cell = _budget.get()
@@ -199,10 +216,8 @@ def run(n, query, *goals):
     conventional shorthand).  With ALL on an infinite stream this does not
     terminate; use :func:`run_bounded` for a guard.
     """
-    gen = _solutions(query, goals)
-    if n is ALL or n == 0:
-        return tuple(gen)
-    return tuple(itertools.islice(gen, n))
+    limit = None if n is ALL or n == 0 else n
+    return tuple(itertools.islice(_solutions(query, goals), limit))
 
 
 def iter_solutions(query, *goals):
@@ -238,15 +253,11 @@ def run_bounded(n, budget, query, *goals):
     unlimited.
     """
     answers = []
-    exhausted = False
+    limit = None if n is ALL or n == 0 else n
     with step_budget(budget):
-        gen = _solutions(query, goals)
-        while n is ALL or n == 0 or len(answers) < n:
-            try:
-                answers.append(next(gen))
-            except StopIteration:
-                break
-            except StepBudgetExceeded:
-                exhausted = True
-                break
-    return tuple(answers), exhausted
+        try:
+            for answer in itertools.islice(_solutions(query, goals), limit):
+                answers.append(answer)
+        except StepBudgetExceeded:
+            return tuple(answers), True
+    return tuple(answers), False

@@ -59,10 +59,6 @@ class _Reader:
             else:
                 return
 
-    def at_end(self):
-        self.skip_ws()
-        return self.i >= len(self.text)
-
     def read(self):
         """Read one term.  Lists still open wait on an explicit stack of
         ``[open_at, items, tail]`` frames, so nesting depth is not bounded
@@ -84,7 +80,7 @@ class _Reader:
                 continue
             if c == ")" and not in_list:
                 raise self.error("unbalanced ')'")
-            if in_list and c == "." and self._is_lone_dot():
+            if in_list and c == "." and (self.i + 1 >= n or text[self.i + 1] in _DELIMS):
                 if not stack[-1][1]:
                     raise self.error("misplaced '.' in list")
                 stack[-1][2] = _DOT
@@ -125,10 +121,6 @@ class _Reader:
         for x in reversed(items):
             out = ConsCell(x, out)
         return out
-
-    def _is_lone_dot(self):
-        j = self.i + 1
-        return j >= len(self.text) or self.text[j] in _DELIMS
 
     def read_string(self):
         start = self.i
@@ -190,7 +182,8 @@ def parse_sexpr(text: str, registry: OperatorRegistry | None = None, var_table=N
     """
     reader = _Reader(text, registry, {} if var_table is None else var_table)
     t = reader.read()
-    if not reader.at_end():
+    reader.skip_ws()
+    if reader.i < len(text):
         raise reader.error("trailing content after term")
     return t
 

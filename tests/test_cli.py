@@ -292,3 +292,36 @@ def test_rewrite_deep_input(capsys, monkeypatch):
     )
     assert code == EXIT_OK
     assert out == deep + "\n"
+
+
+def _nested_adds(depth):
+    text = "1"
+    for _ in range(depth):
+        text = f"(add {text} 1)"
+    return text
+
+
+def test_rewrite_moderately_deep_input_streams_every_answer(capsys, monkeypatch):
+    deep = _nested_adds(100)
+    code, out, err = invoke(
+        capsys, monkeypatch, ["rewrite", "--rules", "math"], stdin=f"(log (exp {deep}))"
+    )
+    assert code == EXIT_OK
+    assert out.splitlines() == [
+        deep,
+        f"(log (exp {deep.replace('(add 1 1)', '(mul 2 1)')}))",
+    ]
+    assert err == ""
+
+
+def test_rewrite_deep_input_stops_at_the_step_budget(capsys, monkeypatch):
+    deep = _nested_adds(5000)
+    code, out, err = invoke(
+        capsys,
+        monkeypatch,
+        ["rewrite", "--rules", "math", "--max-steps", "5000"],
+        stdin=f"(log (exp {deep}))",
+    )
+    assert code == EXIT_BUDGET
+    assert out == deep + "\n"
+    assert len(err.splitlines()) == 1

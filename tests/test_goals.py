@@ -228,3 +228,12 @@ def test_budget_stops_an_unproductive_loop():
     with shallow_stack(), pytest.raises(StepBudgetExceeded):
         with step_budget(1000):
             run(1, x, loop())
+
+
+def test_disjunction_passes_its_turn_before_a_later_conjunct_runs():
+    # generate-and-test: every answer of nats fails the test conjunct, so
+    # the sibling branch must get its turn on nats' own answers
+    x = fresh_var()
+    assert run(1, x, lall(lany(nats(x), eq(x, -1)), eq(x, -1))) == (-1,)
+    wide = lany(nats(x), nats(x, 5), eq(x, -1), nats(x, 9))
+    assert run(1, x, lall(wide, eq(x, -1))) == (-1,)
