@@ -1,21 +1,27 @@
 """Disequality and predicate constraints attached to states.
 
-A state's constraints are one immutable pair of tuples
-``(prohibited, typed)``.  ``prohibited`` holds the minimal binding-sets,
-each a tuple of ``(variable, term)`` pairs, that must never all hold at
-once; ``typed`` holds ``(target, predicate name)`` pairs waiting until
-their target is ground.  ``neq`` and ``type_constraint`` append to the
-pair; after each unification that adds bindings, ``eq`` calls
-:func:`revalidate`, which prunes it or rejects the state with None.
+A state's constraints are one immutable index, a dict never mutated once
+built, from each unbound variable to the constraints that watch it.  A
+constraint is a triple ``(name, term, watched)``: a disequality has name
+None and as term its minimal binding-set, a tuple of ``(variable, term)``
+pairs that must never all hold at once; a type constraint has the
+predicate name and as term its target, waiting until it is ground.
+
+The invariant: a live constraint is registered under exactly the
+variables left unbound in ``walk_star`` of its term (a binding-set's
+variables and values alike), its ``watched`` tuple, and nothing else is.
+A binding of a variable outside the index therefore cannot change any
+constraint's outcome, so after a unification :func:`revalidate` rechecks
+only the constraints on the variables it bound (the design of cKanren's
+attributed variables).
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable
 
-from .terms import ConsCell, ExprTerm, LogicVar, Symbol, is_ground, nil, to_term
-from .unify import Substitution, unify_delta, walk, walk_star
+from .terms import ConsCell, ExprTerm, Symbol, nil, to_term
+from .unify import Substitution, _rebuild, unify_delta
 
 
 class UnknownPredicateError(KeyError):
@@ -59,31 +65,77 @@ def predicate_names():
     return tuple(_PREDICATES)
 
 
-def revalidate(constraints, s: Substitution):
-    """Recheck every constraint after s was extended by a unification.
+def _constraint(name, term, s: Substitution):
+    """The constraint ``(name, term, watched)`` under s: a predicate's
+    target is replaced by its walk_star, and watched holds the distinct
+    variables left unbound in walk_star of the term.  Only a ground
+    target watches nothing."""
+    seen = {}
 
-    Returns the constraints that still wait on unbound variables, or None
-    when one is violated.  A binding-set that can no longer all hold is
+    def note(v):
+        seen[v] = None
+        return v
+
+    if name is None:
+        for pair in term:
+            for t in pair:
+                _rebuild(t, s, note)
+    else:
+        term = _rebuild(term, s, note)
+    return name, term, tuple(seen)
+
+
+def _register(index: dict, constraint) -> None:
+    for v in constraint[2]:
+        index[v] = index.get(v, ()) + (constraint,)
+
+
+def _with_constraint(state, constraint):
+    index = dict(state.constraints)
+    _register(index, constraint)
+    return (state.__class__(state.subst, index),)
+
+
+def revalidate(index: dict, s: Substitution, delta: dict):
+    """Recheck the constraints on the variables that delta newly bound in s.
+
+    Returns the index of the constraints that still wait on unbound
+    variables (the same object when delta touches none), or None when
+    one is violated.  A binding-set that can no longer all hold is
     dropped; one whose bindings all hold violates its disequality.  A
     predicate whose target has become ground is checked and discharged.
+    Every other rechecked constraint is registered anew under the
+    variables it now watches.
     """
-    prohibited, typed = constraints
-    kept_sets = []
-    for bset in prohibited:
-        delta = unify_delta(bset, s)
-        if delta is None:
-            continue
-        if not delta:
+    if not index:
+        return index
+    hits = {}
+    for v in delta:
+        for c in index.get(v, ()):
+            hits[id(c)] = c
+    if not hits:
+        return index
+    index = dict(index)
+    # every hit is registered under each variable it watches, the bound
+    # ones included, and under nothing else
+    for v in {w for c in hits.values() for w in c[2]}:
+        rest = tuple(c for c in index.pop(v) if id(c) not in hits)
+        if rest:
+            index[v] = rest
+    for name, term, _ in hits.values():
+        if name is None:
+            bset = unify_delta(term, s)
+            if bset is None:
+                continue
+            if not bset:
+                return None
+            term = tuple(bset.items())
+        c = _constraint(name, term, s)
+        if c[2]:
+            _register(index, c)
+        elif not _PREDICATES[name](c[1]):
             return None
-        kept_sets.append(tuple(delta.items()))
-    kept_typed = []
-    for target, name in typed:
-        val = walk_star(target, s)
-        if not is_ground(val):
-            kept_typed.append((target, name))
-        elif not _PREDICATES[name](val):
-            return None
-    return tuple(kept_sets), tuple(kept_typed)
+    return index
 
 
 def neq(u, v):
@@ -103,8 +155,7 @@ def neq(u, v):
             return (state,)
         if not delta:
             return ()
-        prohibited, typed = state.constraints
-        return (replace(state, constraints=(prohibited + (tuple(delta.items()),), typed)),)
+        return _with_constraint(state, _constraint(None, tuple(delta.items()), state.subst))
 
     return neq_goal
 
@@ -120,11 +171,9 @@ def type_constraint(v, kind: str):
     v = to_term(v)
 
     def type_goal(state):
-        val = walk_star(v, state.subst)
-        if is_ground(val):
-            return (state,) if _PREDICATES[kind](val) else ()
-        target = walk(v, state.subst) if isinstance(v, LogicVar) else v
-        prohibited, typed = state.constraints
-        return (replace(state, constraints=(prohibited, typed + ((target, kind),))),)
+        c = _constraint(kind, v, state.subst)
+        if not c[2]:
+            return (state,) if _PREDICATES[kind](c[1]) else ()
+        return _with_constraint(state, c)
 
     return type_goal

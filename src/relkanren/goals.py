@@ -16,11 +16,11 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .constraints import revalidate
 from .terms import to_term
-from .unify import EMPTY_SUBST, Substitution, reify, unify
+from .unify import EMPTY_SUBST, Substitution, reify, unify_delta
 
 
 class _AllMarker:
@@ -43,10 +43,11 @@ _budget: ContextVar = ContextVar("relkanren_step_budget", default=None)
 @dataclass(frozen=True)
 class State:
     """One node of the relational search: a substitution plus the
-    ``(prohibited, typed)`` pair of :mod:`relkanren.constraints`."""
+    constraint index of :mod:`relkanren.constraints`, a dict from each
+    unbound variable to the constraints watching it, never mutated."""
 
     subst: Substitution = EMPTY_SUBST
-    constraints: tuple = ((), ())
+    constraints: dict = field(default_factory=dict)
 
 
 def succeed(state):
@@ -64,15 +65,16 @@ def eq(u, v):
     v = to_term(v)
 
     def eq_goal(state):
-        s2 = unify(u, v, state.subst)
-        if s2 is None:
+        delta = unify_delta([(u, v)], state.subst)
+        if delta is None:
             return ()
-        if s2 is state.subst:
+        if not delta:
             return (state,)
-        constraints = revalidate(state.constraints, s2)
-        if constraints is None:
+        s = state.subst.extend(delta)
+        index = revalidate(state.constraints, s, delta)
+        if index is None:
             return ()
-        return (State(s2, constraints),)
+        return (State(s, index),)
 
     return eq_goal
 

@@ -5,22 +5,28 @@ import pytest
 from conftest import ATOMS, seeded
 from relkanren import (
     ConsCell,
+    State,
     Symbol,
     UnknownPredicateError,
     cons,
     eq,
     fresh_var,
+    is_ground,
     lall,
     membero,
     neq,
     nil,
     predicate_names,
     register_predicate,
+    reify,
     run,
     term_eq,
     term_from_list,
     type_constraint,
+    unify,
+    walk_star,
 )
+from relkanren.unify import EMPTY_SUBST
 
 # an independent statement of each builtin predicate on atoms
 HOLDS_ON_ATOMS = {
@@ -166,3 +172,119 @@ def test_partially_bound_cons_carries_both_kinds_until_ground():
             answers = run(0, pair, lall(*(goals[i] for i in order)))
             assert len(answers) == len(expected), (tail, order)
             assert all(map(term_eq, answers, expected)), (tail, order)
+
+
+# --- the constraint index ------------------------------------------------
+
+PROGRAM_ATOMS = (1, 2, "a", Symbol("s"))
+PROGRAM_KINDS = ("integer", "symbol", "string", "cons")
+
+
+def _holds(kind, value):
+    if isinstance(value, ConsCell):
+        return kind == "cons"
+    return HOLDS_ON_ATOMS[kind](value)
+
+
+def _program_term(rng, xs, cells=True):
+    r = rng.random()
+    if r < 0.45:
+        return rng.choice(xs)
+    if r < 0.75 or not cells:
+        return rng.choice(PROGRAM_ATOMS)
+    return cons(_program_term(rng, xs, False), _program_term(rng, xs, False))
+
+
+def _random_program(rng, xs):
+    program = []
+    for _ in range(rng.randint(3, 5)):
+        r = rng.random()
+        if r < 0.4:
+            program.append(("eq", _program_term(rng, xs), _program_term(rng, xs)))
+        elif r < 0.75:
+            program.append(("neq", _program_term(rng, xs), _program_term(rng, xs)))
+        else:
+            target = rng.choice(xs) if rng.random() < 0.6 else _program_term(rng, xs)
+            program.append(("type", target, rng.choice(PROGRAM_KINDS)))
+    return program
+
+
+def _goal(step):
+    what, a, b = step
+    return {"eq": eq, "neq": neq, "type": type_constraint}[what](a, b)
+
+
+def _oracle(query, program):
+    """Run only the eqs, then check every constraint on the final terms."""
+    s = EMPTY_SUBST
+    for what, a, b in program:
+        if what == "eq":
+            s = unify(a, b, s)
+            if s is None:
+                return ()
+    for what, a, b in program:
+        if what == "neq" and term_eq(walk_star(a, s), walk_star(b, s)):
+            return ()
+        if what == "type":
+            value = walk_star(a, s)
+            if is_ground(value) and not _holds(b, value):
+                return ()
+    return (reify(query, s),)
+
+
+def _check_every_order(xs, program):
+    query = term_from_list(xs)
+    expected = _oracle(query, program)
+    for order in itertools.permutations(program):
+        answers = run(0, query, lall(*map(_goal, order)))
+        assert len(answers) == len(expected), order
+        assert all(map(term_eq, answers, expected)), order
+
+
+def test_constraint_index_matches_the_oracle_in_every_goal_order():
+    x, y = fresh_var(), fresh_var()
+    # y is only on the value side of the binding-set {x: y}
+    _check_every_order([x, y], [("neq", x, y), ("eq", y, 1), ("eq", x, 1)])
+    _check_every_order([x, y], [("neq", x, y), ("eq", y, 1), ("eq", x, 2)])
+    # eq(y, x) binds y, and reaches the constraint through the chain
+    _check_every_order([x, y], [("neq", x, y), ("eq", y, x)])
+    _check_every_order([x, y], [("type", cons(x, y), "cons"), ("eq", y, x), ("eq", x, 1)])
+    # a recheck leaves {y: z} or {z: y}, and the aliasing binds z alone
+    z = fresh_var()
+    _check_every_order([x, y, z], [("neq", cons(x, y), cons(1, z)), ("eq", x, 1), ("eq", z, y)])
+    # one eq binds x and y, and only the constraint on y is violated
+    _check_every_order([x, y], [("neq", y, 2), ("eq", cons(x, y), cons(1, 2))])
+    rng = seeded(2013)
+    for _ in range(150):
+        xs = [fresh_var() for _ in range(rng.randint(3, 4))]
+        _check_every_order(xs, _random_program(rng, xs))
+
+
+def _after(state, *goals):
+    for g in goals:
+        (state,) = g(state)
+    return state
+
+
+def test_eq_on_an_untouched_variable_rechecks_nothing():
+    live = []
+    for i in range(1000):
+        v = fresh_var()
+        live.append(neq(v, i) if i % 2 else type_constraint(v, "symbol"))
+    state = _after(State(), *live)
+    assert len(state.constraints) == 1000
+    after = _after(state, eq(fresh_var(), 1))
+    assert after.constraints is state.constraints
+
+
+def test_rechecked_constraint_stays_registered_once_per_variable():
+    ws = [fresh_var() for _ in range(4)]
+    state = _after(State(), neq(term_from_list(ws), term_from_list([1, 2, 3, 4])))
+    for i, w in enumerate(ws[:-1]):
+        state = _after(state, eq(w, i + 1))
+        assert {v: len(cs) for v, cs in state.constraints.items()} == {
+            v: 1 for v in ws[i + 1:]
+        }
+    x, y = fresh_var(), fresh_var()
+    state = _after(State(), neq(x, y), type_constraint(cons(x, y), "cons"), eq(y, 1))
+    assert {v: len(cs) for v, cs in state.constraints.items()} == {x: 2}
