@@ -2,7 +2,7 @@
 
 An :class:`~relkanren.terms.ExprTerm` (defined with the other terms and
 re-exported here) evaluates against an :class:`OperatorRegistry`, whose
-memo caches the result.
+memo caches the result for the :data:`MEMO_CAP` most recently added terms.
 
 Operators are named by :class:`~relkanren.terms.Symbol` and resolved through
 the registry at evaluation time, which keeps terms serializable and keeps
@@ -12,10 +12,16 @@ unification purely syntactic.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
 from .terms import ConsCell, ExprTerm, Symbol, is_ground, spine_elements
+
+
+#: Entries a registry's evaluation memo keeps; past it the oldest go first,
+#: so a long-lived registry neither grows nor keeps every term alive.
+MEMO_CAP = 1 << 14
 
 
 class EvalError(Exception):
@@ -66,11 +72,12 @@ class OperatorDef:
 
 
 class OperatorRegistry:
-    """Name -> OperatorDef mapping with a per-registry evaluation memo."""
+    """Name -> OperatorDef mapping with a per-registry evaluation memo of at
+    most MEMO_CAP entries."""
 
     def __init__(self):
         self._defs: dict[str, OperatorDef] = {}
-        self._memo: dict[ExprTerm, object] = {}
+        self._memo: OrderedDict[ExprTerm, object] = OrderedDict()
 
     def register(self, opdef: OperatorDef) -> None:
         if opdef.name in self._defs:
@@ -202,6 +209,8 @@ def _eval(t, reg):
             if frame.eval_fn is None:
                 raise EvalError(f"operator {frame.name} is not evaluable")
             val = frame.eval_fn(args)
+            if len(memo) >= MEMO_CAP:
+                memo.popitem(last=False)
             memo[node] = val
             out.append(val)
     return out[0]

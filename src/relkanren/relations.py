@@ -12,7 +12,6 @@ import itertools
 from .exprs import OperatorRegistry
 from .terms import (
     ConsCell,
-    ExprTerm,
     LogicVar,
     Symbol,
     car,
@@ -185,12 +184,14 @@ def _fresh_vars_of(t, s: Substitution) -> set:
     stack = [t]
     while stack:
         x = walk(stack.pop(), s)
+        if getattr(x, "ground", True):
+            continue
         if isinstance(x, LogicVar):
             out.add(x)
         elif isinstance(x, ConsCell):
             stack.append(x.car)
             stack.append(x.cdr)
-        elif isinstance(x, ExprTerm):
+        else:
             stack.extend(tuple.__iter__(x))
     return out
 

@@ -5,6 +5,11 @@ Atoms are plain Python values (``int``, ``float``, ``str``, ``bool``) plus
 strict on the variant: the integer ``2`` and the decimal ``2.0`` are distinct
 terms, as are ``True`` and ``1``.
 
+Every term answers ``ground`` in O(1): an atom is ground, a
+:class:`LogicVar` is not, and a cons cell or expression term records at
+construction whether all its parts are, so traversals skip ground subterms
+without visiting them.
+
 All deep operations here (hashing, list conversion) use explicit
 work stacks instead of host recursion so that very deep structures do not
 exhaust the interpreter stack.
@@ -50,6 +55,8 @@ class LogicVar:
     """
 
     __slots__ = ("id", "hint")
+
+    ground = False
 
     def __init__(self, id: int, hint: str | None = None):
         self.id = id
@@ -98,14 +105,19 @@ nil = _Nil()
 
 
 class ConsCell:
-    """A pair of terms.  The cdr may be any term (improper lists allowed)."""
+    """A pair of terms.  The cdr may be any term (improper lists allowed).
 
-    __slots__ = ("car", "cdr", "_hash")
+    ``ground`` is set once, from the parts' own flags, and is true when no
+    logic variable occurs in the pair.
+    """
+
+    __slots__ = ("car", "cdr", "_hash", "ground")
 
     def __init__(self, car, cdr):
         self.car = car
         self.cdr = cdr
         self._hash = None
+        self.ground = getattr(car, "ground", True) and getattr(cdr, "ground", True)
 
     def __eq__(self, other):
         if not isinstance(other, (ConsCell, ExprTerm)):
@@ -130,13 +142,24 @@ class ExprTerm(tuple):
     hashes like the equivalent cons spine ``(op . operands)``.  Indexing
     returns items; slicing returns a (nonempty) ExprTerm sharing no mutable
     state with the original.
+
+    ``ground`` is true when no logic variable occurs in the items.  It is a
+    class attribute that a term holding a variable overrides on the
+    instance, so a ground term carries no instance dict for it.
     """
+
+    ground = True
 
     def __new__(cls, items):
         items = tuple(items)
         if not items:
             raise ValueError("an expression term needs at least one item")
-        return tuple.__new__(cls, items)
+        self = tuple.__new__(cls, items)
+        for x in items:
+            if not getattr(x, "ground", True):
+                self.ground = False
+                break
+        return self
 
     def __getitem__(self, key):
         if isinstance(key, slice):
@@ -322,15 +345,10 @@ def term_hash(t) -> int:
 
 
 def is_ground(t) -> bool:
-    """True when no logic variable occurs anywhere in the term."""
-    stack = [t]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, LogicVar):
-            return False
-        if isinstance(x, ConsCell):
-            stack.append(x.car)
-            stack.append(x.cdr)
-        elif isinstance(x, ExprTerm):
-            stack.extend(tuple.__iter__(x))
-    return True
+    """True when no logic variable occurs anywhere in the term.
+
+    O(1): reads the flag a compound term set when it was built.  It says
+    nothing of bindings; a term whose variables are all bound in some
+    substitution is ground only after walk_star.
+    """
+    return getattr(t, "ground", True)

@@ -4,6 +4,11 @@ Substitutions are persistent: extension returns a new value.  Every deep
 operation (walk_star, unify, occurs, reify) uses explicit work stacks so
 that structures hundreds of thousands of cells deep do not exhaust the
 interpreter stack.
+
+A ground subterm (see :func:`relkanren.terms.is_ground`) holds no variable,
+so the occurs check skips it and walk_star and reify return it as it is,
+each in O(1): binding a variable to a large ground value costs no walk of
+the value.
 """
 
 from __future__ import annotations
@@ -96,13 +101,15 @@ def _occurs(v, t, s, delta) -> bool:
     stack = [t]
     while stack:
         x = _walk2(stack.pop(), s, delta)
+        if getattr(x, "ground", True):
+            continue
         if isinstance(x, LogicVar):
             if x.id == v.id:
                 return True
         elif isinstance(x, ConsCell):
             stack.append(x.car)
             stack.append(x.cdr)
-        elif isinstance(x, ExprTerm):
+        else:
             stack.extend(tuple.__iter__(x))
     return False
 
@@ -182,16 +189,17 @@ def _rebuild(t, s: Substitution, on_var):
     """Copy t with every variable walked through s, handing each variable
     left unbound to on_var and using its result in the variable's place.
 
-    Visits nodes left to right, depth first.  A cons cell or expression
-    term whose parts all come back unchanged is kept as is, which also
-    keeps its memoized hash.
+    Visits nodes left to right, depth first.  A ground subterm is returned
+    as it is without being visited, and a cons cell or expression term whose
+    parts all come back unchanged is kept as is, which also keeps its
+    memoized hash.
     """
     # most calls (constraint targets) resolve one variable: no work stack
     if isinstance(t, LogicVar):
         t = walk(t, s)
         if isinstance(t, LogicVar):
             return on_var(t)
-    if not isinstance(t, (ConsCell, ExprTerm)):
+    if getattr(t, "ground", True):
         return t
     out = []
     work = [(t, 0)]
@@ -203,16 +211,16 @@ def _rebuild(t, s: Substitution, on_var):
                 if isinstance(node, LogicVar):
                     out.append(on_var(node))
                     continue
-            if isinstance(node, ConsCell):
+            if getattr(node, "ground", True):
+                out.append(node)
+            elif isinstance(node, ConsCell):
                 work.append((node, 1))
                 work.append((node.cdr, 0))
                 work.append((node.car, 0))
-            elif isinstance(node, ExprTerm):
+            else:
                 work.append((node, 2))
                 for item in reversed(tuple(tuple.__iter__(node))):
                     work.append((item, 0))
-            else:
-                out.append(node)
         elif phase == 1:
             new_cdr = out.pop()
             new_car = out.pop()

@@ -1,5 +1,6 @@
 import pytest
 
+import relkanren.exprs as exprs_module
 from relkanren import (
     ArityError,
     EvalError,
@@ -174,3 +175,31 @@ def test_expr_slice_stays_expr():
     assert isinstance(e[:2], ExprTerm)
     with pytest.raises(ValueError):
         e[0:0]
+
+
+def test_memo_is_bounded_and_still_hits():
+    calls = 0
+
+    def inc(args):
+        nonlocal calls
+        calls += 1
+        return args[0] + 1
+
+    reg = OperatorRegistry()
+    reg.register(OperatorDef("inc", 1, inc))
+    inc_sym = Symbol("inc")
+    n = exprs_module.MEMO_CAP + 100
+    for i in range(n):
+        assert eval_expr(make_expr(inc_sym, i), reg) == i + 1
+    assert calls == n
+    assert len(reg._memo) <= exprs_module.MEMO_CAP
+    # the most recent terms are still memoized: evaluating them again,
+    # or a reconstruction from identical items, does not call inc
+    last = make_expr(inc_sym, n - 1)
+    assert eval_expr(last, reg) == n
+    assert eval_expr(make_expr(inc_sym, n - 1), reg) == n
+    assert calls == n
+    # the oldest term was dropped and evaluates afresh
+    assert eval_expr(make_expr(inc_sym, 0), reg) == 1
+    assert calls == n + 1
+    assert len(reg._memo) <= exprs_module.MEMO_CAP

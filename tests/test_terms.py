@@ -1,22 +1,32 @@
 import pytest
 
 from relkanren import (
+    ConsCell,
     DecompositionError,
+    ExprTerm,
     ImproperListError,
     LogicVar,
+    Substitution,
     Symbol,
+    builtin_registry,
     car,
     cdr,
     cons,
     fresh_var,
     is_ground,
     list_from_term,
+    make_expr,
     nil,
+    parse_sexpr,
+    reify,
     term_eq,
     term_from_list,
     term_hash,
     to_term,
+    walk_star,
 )
+
+from conftest import OPERATORS, random_atom, random_term, seeded, variable_pool
 
 
 def test_cons_car_cdr():
@@ -118,3 +128,123 @@ def test_var_hint_in_repr():
     v = fresh_var("x")
     assert "x" in repr(v)
     assert isinstance(v, LogicVar)
+
+
+# --- the ground flag ------------------------------------------------------
+
+
+def _has_var(t):
+    """Reference for the flag: a full traversal looking for a variable."""
+    stack = [t]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, LogicVar):
+            return True
+        if isinstance(x, ConsCell):
+            stack.append(x.car)
+            stack.append(x.cdr)
+        elif isinstance(x, ExprTerm):
+            stack.extend(tuple.__iter__(x))
+    return False
+
+
+def _assert_flags_agree(t):
+    """The flag of t and of every subterm agrees with the reference."""
+    stack = [t]
+    while stack:
+        x = stack.pop()
+        assert is_ground(x) is not _has_var(x), x
+        if isinstance(x, ConsCell):
+            stack.append(x.car)
+            stack.append(x.cdr)
+        elif isinstance(x, ExprTerm):
+            stack.extend(tuple.__iter__(x))
+
+
+def _random_native(rng, variables, depth=3):
+    """Nested Python lists of atoms and variables, for to_term."""
+    if variables and rng.random() < 0.2:
+        return rng.choice(variables)
+    if depth <= 0 or rng.random() < 0.3:
+        return random_atom(rng)
+    if rng.random() < 0.3:
+        op = rng.choice(list(OPERATORS))
+        args = [_random_native(rng, variables, depth - 1) for _ in range(OPERATORS[op])]
+        return make_expr(op, *args)
+    return [_random_native(rng, variables, depth - 1) for _ in range(rng.randrange(4))]
+
+
+def _random_text(rng, depth=3):
+    """Source text mixing atoms, ?x / ?y, ?_, dotted pairs and operator heads."""
+    r = rng.random()
+    if depth <= 0 or r < 0.3:
+        return rng.choice(["1", "2.5", "foo", '"s"', "#t", "()", "?x", "?y", "?_"])
+    if r < 0.5:
+        op = rng.choice(["add", "mul", "log"])
+        arity = 1 if op == "log" else 2
+        return "(" + " ".join([op] + [_random_text(rng, depth - 1) for _ in range(arity)]) + ")"
+    if r < 0.6:
+        return f"({_random_text(rng, depth - 1)} . {_random_text(rng, depth - 1)})"
+    return "(" + " ".join(_random_text(rng, depth - 1) for _ in range(rng.randrange(4))) + ")"
+
+
+def _partial_subst(rng, variables):
+    """Bind some variables, each only to terms over later ones (acyclic)."""
+    s = Substitution.empty()
+    for i, v in enumerate(variables):
+        if rng.random() < 0.5:
+            s = s.extend({v: random_term(rng, variables[i + 1 :], depth=2)})
+    return s
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_ground_flag_agrees_with_a_full_traversal(seed):
+    rng = seeded(seed)
+    reg = builtin_registry()
+    for _ in range(40):
+        pool = variable_pool(rng.randrange(0, 4))
+        # cons, term_from_list and make_expr
+        t = random_term(rng, pool)
+        _assert_flags_agree(t)
+        # to_term of nested native sequences
+        _assert_flags_agree(to_term(_random_native(rng, pool)))
+        # the reader, with and without operator heads
+        text = _random_text(rng)
+        _assert_flags_agree(parse_sexpr(text))
+        _assert_flags_agree(parse_sexpr(text, registry=reg))
+        # slices of expression terms
+        e = make_expr(*[random_term(rng, pool, depth=1) for _ in range(rng.randrange(1, 5))])
+        for i in range(len(e)):
+            for j in range(i + 1, len(e) + 1):
+                _assert_flags_agree(e[i:j])
+        # walk_star and reify of partly bound terms rebuild fresh cells
+        s = _partial_subst(rng, pool)
+        _assert_flags_agree(walk_star(t, s))
+        _assert_flags_agree(reify(t, s))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_ground_terms_come_back_unchanged(seed):
+    rng = seeded(seed)
+    for _ in range(40):
+        pool = variable_pool(3)
+        s = _partial_subst(rng, pool)
+        g = random_term(rng, [])
+        assert is_ground(g)
+        assert walk_star(g, s) is g
+        assert reify(g, s) is g
+        # a ground part of an open term is kept by identity as well
+        t = cons(pool[0], g)
+        assert walk_star(t, s).cdr is g
+        assert reify(t, s).cdr is g
+
+
+def test_ground_flag_of_atoms_and_variables():
+    for atom in (0, 2.5, "s", True, Symbol("foo"), nil):
+        assert is_ground(atom)
+    v = fresh_var()
+    assert not is_ground(v)
+    assert not is_ground(make_expr(Symbol("add"), 1, v))
+    assert is_ground(make_expr(Symbol("add"), 1, 2))
+    assert not is_ground(term_from_list([1, 2, v]))
+    assert not is_ground(cons(1, v))

@@ -1,3 +1,5 @@
+import importlib
+
 from hypothesis import given, settings, strategies as st
 
 from relkanren import (
@@ -20,6 +22,9 @@ from relkanren import (
 from conftest import random_term, seeded, variable_pool
 
 EMPTY = Substitution.empty()
+
+# the package exports the function unify, which hides the module of that name
+unify_module = importlib.import_module("relkanren.unify")
 
 
 def test_walk_follows_chains():
@@ -153,3 +158,41 @@ def test_unify_list_with_fresh_var_binds_whole(items):
     t = term_from_list(items)
     s = unify(v, t, EMPTY)
     assert term_eq(walk_star(v, s), t)
+
+
+def test_occurs_check_sees_through_a_binding_chain():
+    x, y = fresh_var(), fresh_var()
+    s = unify(y, cons(1, x), EMPTY)
+    assert s is not None
+    assert unify(x, cons(2, y), s) is None
+    assert unify(cons(2, y), x, s) is None
+
+
+def test_occurs_check_sees_into_an_open_expression_term():
+    x = fresh_var()
+    assert unify(x, make_expr(Symbol("add"), 1, x), EMPTY) is None
+    assert unify(make_expr(Symbol("add"), 1, x), x, EMPTY) is None
+    y = fresh_var()
+    s = unify(y, make_expr(Symbol("add"), x, 2), EMPTY)
+    assert unify(x, make_expr(Symbol("log"), y), s) is None
+
+
+def test_occurs_check_skips_a_ground_value(monkeypatch):
+    big = term_from_list(range(100_000))
+    calls = 0
+    walk2 = unify_module._walk2
+
+    def counting_walk2(t, s, delta):
+        nonlocal calls
+        calls += 1
+        return walk2(t, s, delta)
+
+    monkeypatch.setattr(unify_module, "_walk2", counting_walk2)
+    x = fresh_var()
+    assert unify(x, big, EMPTY, occurs_check=False) is not None
+    without_check = calls
+    calls = 0
+    s = unify(x, big, EMPTY)
+    assert s is not None and walk(x, s) is big
+    # the calls made inside the occurs check: one walk of the value itself
+    assert 1 <= calls - without_check <= 2
