@@ -2,7 +2,8 @@
 
 ``relkanren rewrite`` parses one s-expression term, applies named rulesets
 through graph walking (optionally to a fixed point), and prints reified
-answers one per line.  ``relkanren query`` runs a small goal program.
+answers one per line, each distinct line once and never the input's own
+printed line.  ``relkanren query`` runs a small goal program.
 
 Exit codes: 0 with at least one answer, 1 with none, 2 on step-budget
 exhaustion (partial answers flushed, diagnostic on stderr), 3 for an
@@ -19,12 +20,11 @@ import os
 import sys
 
 from .constraints import UnknownPredicateError, neq, type_constraint
-from .goals import ALL, StepBudgetExceeded, eq, iter_solutions, lany, step_budget
+from .goals import StepBudgetExceeded, eq, iter_solutions, lany, step_budget
 from .relations import conso, membero, permuteo, reduceo, walko
 from .rules import builtin_rulesets, default_registry
 from .sexpr import ParseError, parse_sexpr, print_term
 from .terms import LogicVar, Symbol, list_from_term, fresh_var
-from .unify import term_eq
 
 EXIT_OK = 0
 EXIT_NO_ANSWERS = 1
@@ -92,19 +92,21 @@ def _combine(rules):
 
 
 class _Emitter:
-    """Dedup answers, skip identity rewrites, stream lines to the sink."""
+    """Stream answers to the sink, one printed line each.
 
-    def __init__(self, out, skip=None, limit=0):
+    An answer's identity is its printed line: a line already in ``seen``
+    is not printed again.  A caller may seed ``seen`` with lines that must
+    never be printed, such as the input of a rewrite.
+    """
+
+    def __init__(self, out, limit=0):
         self.out = out
-        self.skip = skip
         self.limit = limit
         self.seen = set()
         self.count = 0
 
     def emit(self, term) -> bool:
         """Print one answer; returns False once the answer limit is hit."""
-        if self.skip is not None and term_eq(term, self.skip):
-            return True
         line = print_term(term)
         if line in self.seen:
             return True
@@ -151,7 +153,8 @@ def cmd_rewrite(args) -> int:
         goal = walko(rel, term, q)
     out = sys.stdout if args.output is None else open(args.output, "w", encoding="utf-8")
     try:
-        emitter = _Emitter(out, skip=term, limit=args.max_answers)
+        emitter = _Emitter(out, limit=args.max_answers)
+        emitter.seen.add(print_term(term))  # the identity rewrite
         return _run_stream(iter_solutions(q, goal), emitter, args.max_steps)
     finally:
         if out is not sys.stdout:
@@ -159,10 +162,7 @@ def cmd_rewrite(args) -> int:
 
 
 def _rule(ruleset, u, v):
-    rs = builtin_rulesets().get(ruleset.name)
-    if rs is None:
-        raise _CliError(f"unknown ruleset: {ruleset.name}", EXIT_UNKNOWN_RULESET)
-    return rs.rule(u, v)
+    return _lookup_rules([ruleset.name])[0](u, v)
 
 
 def _typeo(v, kind):
@@ -220,13 +220,11 @@ def cmd_query(args) -> int:
         or not isinstance(parts[2], LogicVar)
     ):
         raise _CliError("query must look like (run N ?q goal...)", EXIT_PARSE_ERROR)
-    n = ALL if parts[1] == 0 else parts[1]
     query = parts[2]
     goals = [_build_goal(g) for g in parts[3:]]
     out = sys.stdout if args.output is None else open(args.output, "w", encoding="utf-8")
     try:
-        limit = 0 if n is ALL else n
-        emitter = _Emitter(out, limit=limit)
+        emitter = _Emitter(out, limit=parts[1])
         return _run_stream(iter_solutions(query, *goals), emitter, args.max_steps)
     finally:
         if out is not sys.stdout:

@@ -137,14 +137,14 @@ def reduceo(rel, u, v):
     )
 
 
-def walko(rel, u, v, rator_rel=None):
+def walko(rel, u, v):
     """Relate whole term graphs by applying rel at any position.
 
     Disjuncts in order: the relation at the root; descent into
-    application-shaped terms (the operator positions relate via rator_rel,
-    operand lists elementwise with fresh tails permitted); plain equality.
+    application-shaped terms (both sides share the operator, and the
+    operand lists relate elementwise with fresh tails permitted); plain
+    equality.
     """
-    rr = rator_rel if rator_rel is not None else eq
 
     def step(x, y):
         return conde(
@@ -154,12 +154,10 @@ def walko(rel, u, v, rator_rel=None):
         )
 
     def _descend(x, y):
-        cx, dx = fresh_var(), fresh_var()
-        cy, dy = fresh_var(), fresh_var()
+        rator, dx, dy = fresh_var(), fresh_var(), fresh_var()
         return lall(
-            conso(cx, dx, x),
-            conso(cy, dy, y),
-            rr(cx, cy),
+            conso(rator, dx, x),
+            conso(rator, dy, y),
             _rands(dx, dy),
         )
 
@@ -215,7 +213,8 @@ def ground_order(pairs, s: Substitution):
 
 def eq_comm(u, v, reg: OperatorRegistry):
     """Like eq, but when both sides apply the same commutative registry
-    operator the operand lists match up to permutation.
+    operator and both operand lists have a known spine, the operand lists
+    match up to permutation through :func:`permuteo`.
 
     Associativity is not handled.
     """
@@ -236,16 +235,10 @@ def eq_comm(u, v, reg: OperatorRegistry):
                 and op_u.name in reg
                 and reg.get(op_u.name).commutative
             ):
-                ru = spine_elements(walk_star(cdr(uw), s))
-                rv = spine_elements(walk_star(cdr(vw), s))
-                if ru is not None and rv is not None:
-                    if len(ru) != len(rv):
-                        return
-                    for perm in _distinct_permutations(ru):
-                        pairs = ground_order(list(zip(perm, rv)), s)
-                        g = lall(*(eq(x, y) for x, y in pairs))
-                        yield from g(state)
-                    return
-        yield from eq(u, v)(state)
+                ru = walk_star(cdr(uw), s)
+                rv = walk_star(cdr(vw), s)
+                if spine_elements(ru) is not None and spine_elements(rv) is not None:
+                    return permuteo(ru, rv)(state)
+        return eq(u, v)(state)
 
     return eq_comm_goal

@@ -31,11 +31,11 @@ class ParseError(Exception):
 
 
 class _Reader:
-    def __init__(self, text, registry, var_table):
+    def __init__(self, text, registry):
         self.text = text
         self.i = 0
         self.registry = registry
-        self.vars = var_table
+        self.vars = {}
 
     def _pos(self, i=None):
         i = self.i if i is None else i
@@ -174,13 +174,13 @@ class _Reader:
         return Symbol(tok)
 
 
-def parse_sexpr(text: str, registry: OperatorRegistry | None = None, var_table=None):
+def parse_sexpr(text: str, registry: OperatorRegistry | None = None):
     """Read exactly one term from text.
 
     ``?name`` tokens map to one logic variable per distinct name per
-    document (pass a shared var_table to span documents).
+    document.
     """
-    reader = _Reader(text, registry, {} if var_table is None else var_table)
+    reader = _Reader(text, registry)
     t = reader.read()
     reader.skip_ws()
     if reader.i < len(text):

@@ -23,8 +23,6 @@ from .terms import (
     nil,
 )
 
-_FAIL = object()
-
 
 class Substitution:
     """A persistent LogicVar -> Term mapping.
@@ -51,14 +49,8 @@ class Substitution:
         m.update(delta)
         return Substitution(m)
 
-    def __contains__(self, v) -> bool:
-        return v in self._m
-
     def __len__(self) -> int:
         return len(self._m)
-
-    def items(self):
-        return self._m.items()
 
     def __repr__(self):
         return f"Substitution({self._m!r})"

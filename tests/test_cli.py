@@ -325,3 +325,19 @@ def test_rewrite_deep_input_stops_at_the_step_budget(capsys, monkeypatch):
     assert code == EXIT_BUDGET
     assert out == deep + "\n"
     assert len(err.splitlines()) == 1
+
+
+def test_rewrite_never_prints_a_non_ground_input_back(capsys, monkeypatch):
+    # the stream of (add ?x ?x) under math is infinite, so it is bounded
+    code, out, err = invoke(
+        capsys,
+        monkeypatch,
+        ["rewrite", "--rules", "math", "--max-answers", "20"],
+        stdin="(add ?x ?x)",
+    )
+    lines = out.splitlines()
+    assert code == EXIT_OK
+    assert len(lines) == 20
+    assert "(add ?_0 ?_0)" not in lines
+    assert lines[:2] == ["(mul 2 ?_0)", "(add (mul 2 ?_0) (mul 2 ?_0))"]
+

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -19,6 +20,7 @@ from relkanren import (
     list_from_term,
     make_expr,
     membero,
+    neq,
     nil,
     permuteo,
     print_term,
@@ -35,6 +37,7 @@ ADD = Symbol("add")
 MUL = Symbol("mul")
 LOG = Symbol("log")
 EXP = Symbol("exp")
+SUB = Symbol("sub")
 
 
 def test_conso_forward():
@@ -201,3 +204,94 @@ def test_ground_order_is_stable():
     pairs = [(1, 2), (3, 4), (a, b)]
     ordered = ground_order(pairs, s)
     assert ordered[:2] == [(1, 2), (3, 4)]
+
+
+def _eq_comm_by_enumeration(u, v, reg):
+    """Reference: eq_comm's earlier permutation search.  Each distinct
+    ordering of u's operands, in itertools.permutations order, is unified
+    pairwise with v's operands, most-ground pairs first."""
+    from relkanren.terms import car, cdr, is_application
+    from relkanren.unify import walk, walk_star
+
+    def goal(state):
+        s = state.subst
+        uw, vw = walk(u, s), walk(v, s)
+        if is_application(uw) and is_application(vw):
+            op_u, op_v = walk(car(uw), s), walk(car(vw), s)
+            if (
+                isinstance(op_u, Symbol)
+                and isinstance(op_v, Symbol)
+                and op_u.name == op_v.name
+                and op_u.name in reg
+                and reg.get(op_u.name).commutative
+            ):
+                ru = spine_elements(walk_star(cdr(uw), s))
+                rv = spine_elements(walk_star(cdr(vw), s))
+                if ru is not None and rv is not None:
+                    if len(ru) != len(rv):
+                        return
+                    done = []
+                    for perm in itertools.permutations(ru):
+                        if any(all(map(term_eq, perm, p)) for p in done):
+                            continue
+                        done.append(perm)
+                        pairs = ground_order(list(zip(perm, rv)), s)
+                        yield from lall(*(eq(x, y) for x, y in pairs))(state)
+                    return
+        yield from eq(u, v)(state)
+
+    return goal
+
+
+
+def _comm_operand(rng, pool, depth=1):
+    r = rng.random()
+    if r < 0.35:
+        return rng.choice(pool)
+    if r < 0.8 or depth == 0:
+        return rng.choice((0, 1, 2, 2.0, Symbol("a")))
+    op = rng.choice((ADD, MUL, SUB))
+    return make_expr(op, _comm_operand(rng, pool, 0), _comm_operand(rng, pool, 0))
+
+
+def _eq_comm_program(rng):
+    """(query, leading goals, u, v): commutative add and mul, non-commutative
+    sub, a variadic add, variables shared across both sides, and sometimes
+    a neq ahead of the match."""
+    pool = [fresh_var() for _ in range(3)]
+    op = rng.choice((ADD, ADD, MUL, SUB))
+    n = rng.randint(3, 4) if op is ADD and rng.random() < 0.4 else 2
+    u = make_expr(op, *(_comm_operand(rng, pool) for _ in range(n)))
+    r = rng.random()
+    if r < 0.75:
+        v = make_expr(op, *(_comm_operand(rng, pool) for _ in range(n)))
+    elif r < 0.85:
+        # a different operator or a different operand count
+        v = make_expr(rng.choice((ADD, MUL, SUB)),
+                      *(_comm_operand(rng, pool) for _ in range(rng.randint(2, 3))))
+    elif r < 0.95:
+        v = cons(op, cons(_comm_operand(rng, pool), rng.choice(pool)))  # open spine
+    else:
+        v = rng.choice(pool)
+    if rng.random() < 0.5:
+        u, v = v, u
+    goals = []
+    if rng.random() < 0.4:
+        goals.append(neq(rng.choice(pool), rng.choice((0, 1, 2, rng.choice(pool)))))
+    return term_from_list(pool), goals, u, v
+
+
+def test_eq_comm_matches_permutation_enumeration_on_seeded_programs():
+    from relkanren.rules import default_registry
+
+    reg = default_registry()
+    rng = random.Random(9091)
+    answered = 0
+    for _ in range(400):
+        q, goals, u, v = _eq_comm_program(rng)
+        got = run(0, q, *goals, eq_comm(u, v, reg))
+        want = run(0, q, *goals, _eq_comm_by_enumeration(u, v, reg))
+        assert len(got) == len(want), (print_term(u), print_term(v))
+        assert all(map(term_eq, got, want)), (print_term(u), print_term(v))
+        answered += bool(got)
+    assert answered > 100
