@@ -97,6 +97,11 @@ class _Emitter:
     An answer's identity is its printed line: a line already in ``seen``
     is not printed again.  A caller may seed ``seen`` with lines that must
     never be printed, such as the input of a rewrite.
+
+    ``walko`` streams each rewrite of a known term once per set of
+    positions that yields it, so the filter still has two jobs there: two
+    sets of positions can rewrite to the same term, and the search always
+    streams the unchanged term, which ``rewrite`` seeds into ``seen``.
     """
 
     def __init__(self, out, limit=0):
@@ -220,6 +225,8 @@ def cmd_query(args) -> int:
         or not isinstance(parts[2], LogicVar)
     ):
         raise _CliError("query must look like (run N ?q goal...)", EXIT_PARSE_ERROR)
+    if parts[1] < 0:
+        raise _CliError(f"query answer count must be >= 0, got {parts[1]}", EXIT_PARSE_ERROR)
     query = parts[2]
     goals = [_build_goal(g) for g in parts[3:]]
     out = sys.stdout if args.output is None else open(args.output, "w", encoding="utf-8")

@@ -210,16 +210,25 @@ def _solutions(query, goals):
         yield reify(query, st.subst)
 
 
+def _limit(n):
+    """The islice stop for an answer count: None for ALL or 0."""
+    if n is ALL or n == 0:
+        return None
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"answer count must be ALL or an integer >= 0, got {n!r}")
+    return n
+
+
 def run(n, query, *goals):
     """Solve the conjunction of goals and reify the query term in each
     answer state.
 
     ``n`` may be a positive count, 0, or ALL; 0 means all answers (the
-    conventional shorthand).  With ALL on an infinite stream this does not
-    terminate; use :func:`run_bounded` for a guard.
+    conventional shorthand).  Any other count raises ValueError.  With ALL
+    on an infinite stream this does not terminate; use :func:`run_bounded`
+    for a guard.
     """
-    limit = None if n is ALL or n == 0 else n
-    return tuple(itertools.islice(_solutions(query, goals), limit))
+    return tuple(itertools.islice(_solutions(query, goals), _limit(n)))
 
 
 def iter_solutions(query, *goals):
@@ -255,7 +264,7 @@ def run_bounded(n, budget, query, *goals):
     unlimited.
     """
     answers = []
-    limit = None if n is ALL or n == 0 else n
+    limit = _limit(n)
     with step_budget(budget):
         try:
             for answer in itertools.islice(_solutions(query, goals), limit):

@@ -144,37 +144,66 @@ def walko(rel, u, v):
     application-shaped terms (both sides share the operator, and the
     operand lists relate elementwise with fresh tails permitted); plain
     equality.
+
+    Descent into a side that is already an application must rewrite at
+    least one operand.  Leaving every operand unchanged would give back
+    the term that the equality disjunct gives, so a node with n rewritable
+    operands would stream 3^n+1 answers for its 2^n distinct ones, and a
+    d-deep term would cost O(d^2) search.  Descent into two fresh sides
+    may still leave every operand unchanged: that answer, one application
+    on both sides, is more specific than equality's one shared variable.
+    The disjuncts keep their order and every pruned branch gave the
+    equality answer again (or, below an operand list with an open tail,
+    an instance of it with nothing rewritten), so the other answers come
+    in the order of their first occurrence under unrestricted descent.
+    Two positions that rewrite to the same term still give it twice.
     """
 
-    def step(x, y):
+    def step(x, y, changed):
+        # changed: the enclosing node's flag, bound to True once the rule
+        # rewrites one of its operands, here or below; equality leaves it
         return conde(
-            [delay(lambda: rel(x, y))],
-            [_descend(x, y)],
+            [eq(changed, True), delay(lambda: rel(x, y))],
+            [eq(changed, True), _descend(x, y)],
             [eq(x, y)],
         )
 
     def _descend(x, y):
-        rator, dx, dy = fresh_var(), fresh_var(), fresh_var()
+        rator, dx, dy, changed = fresh_var(), fresh_var(), fresh_var(), fresh_var()
+
+        def start(state):
+            # two fresh sides may keep every operand: their identity is not
+            # the equality disjunct's answer
+            s = state.subst
+            if is_application(walk(x, s)) or is_application(walk(y, s)):
+                return (state,)
+            return eq(changed, True)(state)
+
         return lall(
+            start,
             conso(rator, dx, x),
             conso(rator, dy, y),
-            _rands(dx, dy),
+            _rands(dx, dy, changed),
         )
 
-    def _rands(dx, dy):
+    def _rands(dx, dy, changed):
         hx, tx = fresh_var(), fresh_var()
         hy, ty = fresh_var(), fresh_var()
+
+        def rewritten(state):
+            return (state,) if walk(changed, state.subst) is True else ()
+
         return conde(
-            [eq(dx, nil), eq(dy, nil)],
+            [eq(dx, nil), eq(dy, nil), rewritten],
             [
                 conso(hx, tx, dx),
                 conso(hy, ty, dy),
-                delay(lambda: step(hx, hy)),
-                delay(lambda: _rands(tx, ty)),
+                delay(lambda: step(hx, hy, changed)),
+                delay(lambda: _rands(tx, ty, changed)),
             ],
         )
 
-    return step(to_term(u), to_term(v))
+    return step(to_term(u), to_term(v), fresh_var())
 
 
 def _fresh_vars_of(t, s: Substitution) -> set:

@@ -212,6 +212,18 @@ def test_query_typeo(capsys, monkeypatch):
     assert out == "2\n4\n"
 
 
+def test_query_negative_count_exits_four_with_one_line(capsys, monkeypatch):
+    code, out, err = invoke(
+        capsys,
+        monkeypatch,
+        ["query", "--goal", "(run -1 ?x (membero ?x (1 2 3)))"],
+    )
+    assert code == EXIT_PARSE_ERROR
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "-1" in err
+
+
 def test_query_crash_exits_five_with_one_line(capsys, monkeypatch):
     code, out, err = invoke(
         capsys,
@@ -305,6 +317,24 @@ def test_rewrite_moderately_deep_input_streams_every_answer(capsys, monkeypatch)
     deep = _nested_adds(100)
     code, out, err = invoke(
         capsys, monkeypatch, ["rewrite", "--rules", "math"], stdin=f"(log (exp {deep}))"
+    )
+    assert code == EXIT_OK
+    assert out.splitlines() == [
+        deep,
+        f"(log (exp {deep.replace('(add 1 1)', '(mul 2 1)')}))",
+    ]
+    assert err == ""
+
+
+def test_rewrite_deep_walk_search_is_linear_in_depth(capsys, monkeypatch):
+    # each level derives the unchanged term once, so 400 levels take about
+    # 56,000 steps; re-deriving it at every level takes about 3.7 million
+    deep = _nested_adds(400)
+    code, out, err = invoke(
+        capsys,
+        monkeypatch,
+        ["rewrite", "--rules", "math", "--max-steps", "100000"],
+        stdin=f"(log (exp {deep}))",
     )
     assert code == EXIT_OK
     assert out.splitlines() == [

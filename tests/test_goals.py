@@ -136,6 +136,15 @@ def test_run_bounded_reports_exhaustion():
     assert answers == (0, 1, 2)
 
 
+@pytest.mark.parametrize("n", [-1, -5, 1.5])
+def test_run_rejects_an_invalid_answer_count(n):
+    x = fresh_var()
+    with pytest.raises(ValueError, match=f"got {n}"):
+        run(n, x, eq(x, 1))
+    with pytest.raises(ValueError, match=f"got {n}"):
+        run_bounded(n, 10, x, eq(x, 1))
+
+
 def test_budget_monotonic_prefix():
     x = fresh_var()
     small, _ = run_bounded(50, 40, x, nats(x))

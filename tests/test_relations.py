@@ -11,12 +11,14 @@ from relkanren import (
     conde,
     cons,
     conso,
+    delay,
     eq,
     eq_comm,
     fresh_var,
     ground_order,
     groundedness_score,
     lall,
+    lany,
     list_from_term,
     make_expr,
     membero,
@@ -295,3 +297,120 @@ def test_eq_comm_matches_permutation_enumeration_on_seeded_programs():
         assert all(map(term_eq, got, want)), (print_term(u), print_term(v))
         answered += bool(got)
     assert answered > 100
+
+
+def _walko_unrestricted(rel, u, v):
+    """Reference: walko's earlier search, whose descent may leave every
+    operand unchanged and so re-derives the equality answer."""
+
+    def step(x, y):
+        return conde(
+            [delay(lambda: rel(x, y))],
+            [_descend(x, y)],
+            [eq(x, y)],
+        )
+
+    def _descend(x, y):
+        rator, dx, dy = fresh_var(), fresh_var(), fresh_var()
+        return lall(conso(rator, dx, x), conso(rator, dy, y), _rands(dx, dy))
+
+    def _rands(dx, dy):
+        hx, tx = fresh_var(), fresh_var()
+        hy, ty = fresh_var(), fresh_var()
+        return conde(
+            [eq(dx, nil), eq(dy, nil)],
+            [
+                conso(hx, tx, dx),
+                conso(hy, ty, dy),
+                delay(lambda: step(hx, hy)),
+                delay(lambda: _rands(tx, ty)),
+            ],
+        )
+
+    return step(u, v)
+
+
+_LEAVES = ("0", "1", "2", "5", "0.5", "mu", "sigma", "a")
+
+
+def _model_part(rng, depth=1):
+    """s-expression text of a model component: a redex of some builtin
+    ruleset or a plain application, with operands nested up to depth.
+    Data vectors occur only at the top level."""
+
+    def operand():
+        if depth and rng.random() < 0.4:
+            return _model_part(rng, depth - 1)
+        return rng.choice(_LEAVES)
+
+    shape = rng.randrange(7 if depth else 6)
+    if shape == 0:
+        x = operand()
+        return f"(add {x} {x})"
+    if shape == 1:
+        return f"(log (exp {operand()}))"
+    if shape == 2:
+        return f"(add (normal {operand()} 1) (normal {operand()} 2))"
+    if shape == 3:
+        return f"(add {operand()} (mul {rng.choice(_LEAVES)} (normal 0 1)))"
+    if shape == 6:
+        return "(observe (1 2) (binomial (3 4) (beta 1 1)))"
+    return f"({rng.choice(('mul', 'normal', 'sub'))} {operand()} {operand()})"
+
+
+def _printed(answers):
+    return [print_term(a) for a in answers]
+
+
+def _first_occurrences(lines):
+    return list(dict.fromkeys(lines))
+
+
+def test_walko_keeps_the_first_occurrence_order_of_unrestricted_descent():
+    from relkanren.rules import builtin_rulesets, default_registry
+    from relkanren.sexpr import parse_sexpr
+
+    reg = default_registry()
+    rules = [rs.rule for rs in builtin_rulesets().values()]
+    rules.append(lambda u, v: lany(*(r(u, v) for r in rules[:4])))
+    rng = random.Random(6011)
+    shorter = 0
+    for _ in range(200):
+        parts = " ".join(_model_part(rng) for _ in range(rng.randint(1, 2)))
+        t = parse_sexpr(f"(model {parts})", registry=reg)
+        rule = rng.choice(rules)
+        for rel in (rule, lambda a, b, rule=rule: reduceo(rule, a, b)):
+            q = fresh_var()
+            got = _printed(run(0, q, walko(rel, t, q)))
+            want = _printed(run(0, q, _walko_unrestricted(rel, t, q)))
+            assert _first_occurrences(got) == _first_occurrences(want), print_term(t)
+            assert len(got) <= len(want), print_term(t)
+            shorter += len(got) < len(want)
+    assert shorter > 200
+
+
+def test_walko_on_fresh_sides_streams_as_unrestricted_descent():
+    e, r = fresh_var(), fresh_var()
+    q = term_from_list([e, r])
+    got = run(40, q, walko(math_reduce_rule, e, r))
+    want = run(40, q, _walko_unrestricted(math_reduce_rule, e, r))
+    assert _printed(got) == _printed(want)
+
+
+def test_walko_backwards_keeps_the_first_occurrence_order_without_repeats():
+    for n in (1, 2, 3):
+        t = make_expr(Symbol("tuple"), *(make_expr(ADD, 5, 5) for _ in range(n)))
+        q = fresh_var()
+        got = _printed(run(0, q, walko(math_reduce_rule, q, t)))
+        want = _printed(run(0, q, _walko_unrestricted(math_reduce_rule, q, t)))
+        assert got == _first_occurrences(want)
+        assert len(got) == 5**n + 1
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_walko_streams_each_rewrite_of_a_wide_term_once(n):
+    t = make_expr(Symbol("tuple"), *(make_expr(ADD, 5, 5) for _ in range(n)))
+    q = fresh_var()
+    lines = _printed(run(0, q, walko(math_reduce_rule, t, q)))
+    assert len(lines) == 2**n
+    assert len(set(lines)) == 2**n
