@@ -9,13 +9,15 @@ Exit codes: 0 with at least one answer, 1 with none, 2 on step-budget
 exhaustion (partial answers flushed, diagnostic on stderr), 3 for an
 unknown ruleset name, 4 for a parse error or an invalid command line or
 ``RELKANREN_MAX_STEPS`` (``--help`` exits 0), 5 for any other error (one
-line on stderr naming the exception; answers printed before it stay).
+line on stderr naming the exception, and for MemoryError the remedy;
+answers printed before it stay).
 Every error is one line on stderr; only answer lines go to the output.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -254,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="answer sink (default: stdout)")
     rw.add_argument("--max-answers", type=_count, default=0, metavar="N",
                     help="answer limit; 0 means all (default: 0)")
-    rw.add_argument("--max-steps", type=_count, default=_default_budget(), metavar="M",
+    rw.add_argument("--max-steps", type=_count, default=None, metavar="M",
                     help="step budget; 0 means unlimited "
                          f"(default: ${BUDGET_ENV_VAR} or 0)")
     rw.add_argument("--mode", choices=("walk", "reduce"), default="walk",
@@ -266,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--goal", required=True, metavar="SEXPR",
                    help="e.g. '(run 0 ?x (membero ?x (1 2 3)))'")
     q.add_argument("--output", default=None, metavar="PATH")
-    q.add_argument("--max-steps", type=_count, default=_default_budget(), metavar="M")
+    q.add_argument("--max-steps", type=_count, default=None, metavar="M")
     q.set_defaults(func=cmd_query)
 
     epilog = ["builtin rulesets:"]
@@ -276,13 +278,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse parsers hold no state between parses, so one serves every call
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        # read on every call, and an invalid value exits 4 before argv is read
+        budget = _default_budget()
+        args = _parser().parse_args(argv)
+        if args.max_steps is None:
+            args.max_steps = budget
         return args.func(args)
     except _CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
+    except MemoryError:
+        print("MemoryError: out of memory; a smaller --max-steps or --max-answers "
+              "bounds the search", file=sys.stderr)
+        return EXIT_ERROR
     except Exception as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR

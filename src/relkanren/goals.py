@@ -65,18 +65,23 @@ def eq(u, v):
     v = to_term(v)
 
     def eq_goal(state):
-        delta = unify_delta([(u, v)], state.subst)
-        if delta is None:
-            return ()
-        if not delta:
-            return (state,)
-        s = state.subst.extend(delta)
-        index = revalidate(state.constraints, s, delta)
-        if index is None:
-            return ()
-        return (State(s, index),)
+        state = unify_state(state, [(u, v)])
+        return () if state is None else (state,)
 
     return eq_goal
+
+
+def unify_state(state, pairs):
+    """The state that unifies each ``(u, v)`` of pairs and still keeps
+    every constraint, or None."""
+    delta = unify_delta(pairs, state.subst)
+    if delta is None:
+        return None
+    if not delta:
+        return state
+    s = state.subst.extend(delta)
+    index = revalidate(state.constraints, s, delta)
+    return None if index is None else State(s, index)
 
 
 class _Goal:

@@ -1,17 +1,20 @@
 """Relational building blocks for term rewriting.
 
 List relations (conso, membero), permutation matching, fixed-point
-reduction, whole-graph walking, groundedness ordering, and commutative
-argument matching.
+reduction, whole-graph walking, rewrite rules compiled from records,
+groundedness ordering, and commutative argument matching.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import Callable, NamedTuple
 
+from .constraints import type_constraint
 from .exprs import OperatorRegistry
 from .terms import (
     ConsCell,
+    ExprTerm,
     LogicVar,
     Symbol,
     car,
@@ -26,8 +29,8 @@ from .terms import (
     term_hash,
     to_term,
 )
-from .goals import conde, delay, eq, lall
-from .unify import Substitution, term_eq, walk, walk_star
+from .goals import conde, delay, eq, lall, unify_state
+from .unify import EMPTY_SUBST, Substitution, term_eq, walk, walk_star
 
 
 class GroundednessError(Exception):
@@ -204,6 +207,84 @@ def walko(rel, u, v):
         )
 
     return step(to_term(u), to_term(v), fresh_var())
+
+
+class Rule(NamedTuple):
+    """A rewrite record: ``lhs`` relates to ``rhs`` where each guard
+    ``(variable, predicate name)`` holds.  Its variables are renamed fresh
+    at every use."""
+
+    lhs: object
+    rhs: object
+    guards: tuple
+
+
+_NO_HEAD = object()
+
+
+def _head(t, s):
+    """The head key of a walked term: its root operator's name; None when
+    any operator may still come (a variable, or an application headed by
+    one); _NO_HEAD when none can (an atom, or another head)."""
+    cls = t.__class__
+    if cls is not ExprTerm and cls is not ConsCell:
+        return None if cls is LogicVar else _NO_HEAD
+    t = walk(t.car if cls is ConsCell else tuple.__getitem__(t, 0), s)
+    if t.__class__ is Symbol:
+        return t.name
+    return None if t.__class__ is LogicVar else _NO_HEAD
+
+
+def _rename(t, fresh: dict):
+    # t with each variable replaced by its twin in fresh, made on first sight
+    if t.__class__ is LogicVar:
+        if t.id not in fresh:
+            fresh[t.id] = fresh_var(t.hint)
+        return fresh[t.id]
+    if getattr(t, "ground", True):
+        return t
+    return ExprTerm([_rename(x, fresh) for x in tuple.__iter__(t)])
+
+
+def _apply(r: Rule, u, v, state):
+    """The state in which u is r's pattern and v its template, renamed
+    fresh, with r's guards on, or None."""
+    fresh = {}
+    lhs, rhs = _rename(r.lhs, fresh), _rename(r.rhs, fresh)
+    for x, pred in r.guards:  # on a fresh variable, so it waits: one state
+        (state,) = type_constraint(_rename(x, fresh), pred)(state)
+    return unify_state(state, [(v, rhs), (u, lhs)])  # u unifies first
+
+
+def compile_rules(*records: Rule) -> Callable:
+    """The ``rule(u, v)`` goal constructor of an ordered tuple of records.
+
+    The goal is a leaf.  It walks u and v once and admits a record only if
+    each side's head key can be its pattern's (or template's) head; None,
+    a variable's key, admits any.  An admitted record yields at most one
+    state.  A rejected record could only fail, so the answers and their
+    order are those of the records' disjunction, and a call that admits no
+    record makes no variable and no term.
+    """
+    index = [(_head(r.lhs, EMPTY_SUBST), _head(r.rhs, EMPTY_SUBST), r) for r in records]
+
+    def rule(u, v):
+        u, v = to_term(u), to_term(v)
+
+        def rule_goal(state):
+            s = state.subst
+            hu, hv = _head(walk(u, s), s), _head(walk(v, s), s)
+            hits = [r for lh, rh, r in index
+                    if not (hu and lh and hu != lh or hv and rh and hv != rh)]
+            if len(hits) > 1:
+                # as in a disjunction, a record runs only when its turn comes
+                return filter(None, (_apply(r, u, v, state) for r in hits))
+            st = _apply(hits[0], u, v, state) if hits else None
+            return () if st is None else (st,)
+
+        return rule_goal
+
+    return rule
 
 
 def _fresh_vars_of(t, s: Substitution) -> set:

@@ -1,9 +1,12 @@
 """Statistical-model rewrite rules as bidirectional relations.
 
-Each rule is a plain relational goal constructor over the random-variable
-vocabulary (normal, beta, binomial, observe) plus arithmetic, built solely
-from eq/conde/constraints, so both argument orders work: run a rule
-forward to simplify a model term, or backward to recognize or expand one.
+Each rule is data: a record of a left pattern, a right template and guards
+over the random-variable vocabulary (normal, beta, binomial, observe) plus
+arithmetic, read from an s-expression once at import.
+:func:`relkanren.relations.compile_rules` turns a ruleset, an ordered
+tuple of records, into a goal that only unifies, so both argument orders
+work: run a rule forward to simplify a model term, or backward to
+recognize or expand one.
 
 The normal distribution is parameterized by mean and variance (not
 standard deviation).  Data vectors are proper lists; ``sum`` reduces a
@@ -15,10 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .constraints import type_constraint
-from .exprs import OperatorDef, OperatorRegistry, builtin_registry, make_expr
-from .goals import conde, eq, lall
-from .terms import Symbol, fresh_var
+from .exprs import OperatorDef, OperatorRegistry, builtin_registry
+from .relations import Rule, compile_rules
+from .sexpr import parse_sexpr
+from .terms import Symbol, list_from_term
 
 ADD = Symbol("add")
 SUB = Symbol("sub")
@@ -46,61 +49,29 @@ def default_registry() -> OperatorRegistry:
     return install_rv_operators(builtin_registry())
 
 
-def math_reduce_rule(e, r):
-    """Two arithmetic identities: add(x, x) == mul(2, x) and
-    log(exp(x)) == x, with x constrained to a number or expression."""
-    x = fresh_var("x")
-    return lall(
-        type_constraint(x, "number-or-expr"),
-        conde(
-            [eq(e, make_expr(ADD, x, x)), eq(r, make_expr(MUL, 2, x))],
-            [eq(e, make_expr(LOG, make_expr(EXP, x))), eq(r, x)],
-        ),
-    )
+def record(text: str) -> Rule:
+    """The record read from ``(lhs rhs guard...)``, each guard a list
+    ``(predicate-name ?variable)``."""
+    lhs, rhs, *guards = list_from_term(parse_sexpr(text, registry=default_registry()))
+    return Rule(lhs, rhs, tuple((v, p.name) for p, v in map(list_from_term, guards)))
 
 
-def normal_sum_rule(lhs, rhs):
-    """Sum of independent normals: add(normal(mx, vx), normal(my, vy)) ==
-    normal(add(mx, my), add(vx, vy))."""
-    mx, vx = fresh_var("mx"), fresh_var("vx")
-    my, vy = fresh_var("my"), fresh_var("vy")
-    return lall(
-        eq(lhs, make_expr(ADD, make_expr(NORMAL, mx, vx), make_expr(NORMAL, my, vy))),
-        eq(rhs, make_expr(NORMAL, make_expr(ADD, mx, my), make_expr(ADD, vx, vy))),
-    )
-
-
-def normal_affine_rule(lhs, rhs):
-    """Affine transform of a standard normal: add(m, mul(s, normal(0, 1)))
-    == normal(m, mul(s, s)).
-
-    One direction non-centers a model (the funnel fix); the other
-    recognizes a term's distribution type.
-    """
-    mu, sigma = fresh_var("mu"), fresh_var("sigma")
-    return lall(
-        eq(lhs, make_expr(ADD, mu, make_expr(MUL, sigma, make_expr(NORMAL, 0, 1)))),
-        eq(rhs, make_expr(NORMAL, mu, make_expr(MUL, sigma, sigma))),
-    )
-
-
-def beta_binomial_conjugate(x, y):
-    """Beta-binomial conjugacy in sum form.
-
-    observe(obs, binomial(N, beta(a, b))) relates to
-    binomial(N, beta(add(a, sum(obs)), add(b, sub(sum(N), sum(obs))))),
-    so the posterior parameters evaluate to (a + y, b + N - y).
-    """
-    obs = fresh_var("obs")
-    n = fresh_var("N")
-    alpha, beta = fresh_var("alpha"), fresh_var("beta")
-    obs_sum = make_expr(SUM, obs)
-    alpha_new = make_expr(ADD, alpha, obs_sum)
-    beta_new = make_expr(ADD, beta, make_expr(SUB, make_expr(SUM, n), obs_sum))
-    return lall(
-        eq(x, make_expr(OBSERVE, obs, make_expr(BINOMIAL, n, make_expr(BETA, alpha, beta)))),
-        eq(y, make_expr(BINOMIAL, n, make_expr(BETA, alpha_new, beta_new))),
-    )
+# add(x, x) == mul(2, x) and log(exp(x)) == x, x a number or an expression
+math_reduce_rule = compile_rules(
+    record("((add ?x ?x) (mul 2 ?x) (number-or-expr ?x))"),
+    record("((log (exp ?x)) ?x (number-or-expr ?x))"),
+)
+# sum of independent normals
+normal_sum_rule = compile_rules(record(
+    "((add (normal ?mx ?vx) (normal ?my ?vy)) (normal (add ?mx ?my) (add ?vx ?vy)))"))
+# one direction non-centers a model (the funnel fix); the other
+# recognizes a term's distribution type
+normal_affine_rule = compile_rules(record(
+    "((add ?mu (mul ?sigma (normal 0 1))) (normal ?mu (mul ?sigma ?sigma)))"))
+# in sum form: the posterior parameters evaluate to (a + y, b + N - y)
+beta_binomial_conjugate = compile_rules(record(
+    "((observe ?obs (binomial ?N (beta ?a ?b)))"
+    " (binomial ?N (beta (add ?a (sum ?obs)) (add ?b (sub (sum ?N) (sum ?obs))))))"))
 
 
 @dataclass(frozen=True)
@@ -113,7 +84,8 @@ class RuleSet:
 
 
 def builtin_rulesets() -> dict[str, RuleSet]:
-    """The stable name -> rule mapping exposed through the CLI."""
+    """The stable name -> rule mapping exposed through the CLI.  It looks
+    the rules up at each call."""
     return {
         "math": RuleSet(
             "math", math_reduce_rule, "add(x, x) == mul(2, x); log(exp(x)) == x"

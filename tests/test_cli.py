@@ -371,3 +371,35 @@ def test_rewrite_never_prints_a_non_ground_input_back(capsys, monkeypatch):
     assert "(add ?_0 ?_0)" not in lines
     assert lines[:2] == ["(mul 2 ?_0)", "(add (mul 2 ?_0) (mul 2 ?_0))"]
 
+
+
+def test_budget_env_var_is_read_on_every_call(capsys, monkeypatch):
+    argv = ["rewrite", "--rules", "math"]
+    monkeypatch.setenv("RELKANREN_MAX_STEPS", "5")
+    assert invoke(capsys, monkeypatch, argv, stdin="(add 5 5)")[0] == EXIT_BUDGET
+    monkeypatch.delenv("RELKANREN_MAX_STEPS")
+    assert invoke(capsys, monkeypatch, argv, stdin="(add 5 5)")[0] == EXIT_OK
+
+
+def test_malformed_budget_env_var_exits_four_even_with_the_flag(capsys, monkeypatch):
+    monkeypatch.setenv("RELKANREN_MAX_STEPS", "-1")
+    code, out, err = invoke(
+        capsys, monkeypatch, ["rewrite", "--rules", "math", "--max-steps", "9"], "(add 5 5)"
+    )
+    assert (code, out) == (EXIT_PARSE_ERROR, "")
+    assert err == "RELKANREN_MAX_STEPS: expected an integer >= 0, got '-1'\n"
+
+
+def test_memory_error_exits_five_with_the_cause_and_the_remedy(capsys, monkeypatch):
+    from relkanren import cli
+
+    def exhausted(state):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "walko", lambda rel, u, v: exhausted)
+    code, out, err = invoke(capsys, monkeypatch, ["rewrite", "--rules", "math"], "(add 5 5)")
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == (
+        "MemoryError: out of memory; a smaller --max-steps or --max-answers "
+        "bounds the search\n"
+    )

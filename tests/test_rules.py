@@ -1,14 +1,25 @@
 import pytest
 
 from relkanren import (
+    State,
     builtin_registry,
+    conde,
+    eq,
     eval_expr,
     fresh_var,
+    lall,
+    lany,
     make_expr,
+    parse_sexpr,
+    print_term,
+    reduceo,
     run,
     term_eq,
     term_from_list,
+    type_constraint,
+    walko,
 )
+from relkanren.cli import _combine
 from relkanren.rules import (
     ADD,
     BETA,
@@ -29,6 +40,7 @@ from relkanren.rules import (
 )
 
 from conftest import seeded
+from test_rewrite_corpus import corpus_inputs
 
 
 def first(rule, lhs):
@@ -173,3 +185,134 @@ def test_rv_operators_are_symbolic_only():
     reg = default_registry()
     with pytest.raises(EvalError):
         eval_expr(make_expr(NORMAL, 0, 1), reg)
+
+
+# The builtin rules as hand-written goal constructors: the reference for the
+# answers of the compiled records and for their order.
+
+
+def _reference_math(e, r):
+    x = fresh_var("x")
+    return lall(
+        type_constraint(x, "number-or-expr"),
+        conde(
+            [eq(e, make_expr(ADD, x, x)), eq(r, make_expr(MUL, 2, x))],
+            [eq(e, make_expr(LOG, make_expr(EXP, x))), eq(r, x)],
+        ),
+    )
+
+
+def _reference_normal_sum(lhs, rhs):
+    mx, vx = fresh_var("mx"), fresh_var("vx")
+    my, vy = fresh_var("my"), fresh_var("vy")
+    return lall(
+        eq(lhs, make_expr(ADD, make_expr(NORMAL, mx, vx), make_expr(NORMAL, my, vy))),
+        eq(rhs, make_expr(NORMAL, make_expr(ADD, mx, my), make_expr(ADD, vx, vy))),
+    )
+
+
+def _reference_normal_affine(lhs, rhs):
+    mu, sigma = fresh_var("mu"), fresh_var("sigma")
+    return lall(
+        eq(lhs, make_expr(ADD, mu, make_expr(MUL, sigma, make_expr(NORMAL, 0, 1)))),
+        eq(rhs, make_expr(NORMAL, mu, make_expr(MUL, sigma, sigma))),
+    )
+
+
+def _reference_beta_binomial(x, y):
+    obs = fresh_var("obs")
+    n = fresh_var("N")
+    alpha, beta = fresh_var("alpha"), fresh_var("beta")
+    obs_sum = make_expr(SUM, obs)
+    alpha_new = make_expr(ADD, alpha, obs_sum)
+    beta_new = make_expr(ADD, beta, make_expr(SUB, make_expr(SUM, n), obs_sum))
+    return lall(
+        eq(x, make_expr(OBSERVE, obs, make_expr(BINOMIAL, n, make_expr(BETA, alpha, beta)))),
+        eq(y, make_expr(BINOMIAL, n, make_expr(BETA, alpha_new, beta_new))),
+    )
+
+
+_REFERENCE = {
+    "math": _reference_math,
+    "normal-sum": _reference_normal_sum,
+    "normal-affine": _reference_normal_affine,
+    "beta-binomial": _reference_beta_binomial,
+}
+
+
+def _rule_pairs():
+    """(compiled, reference) for each builtin ruleset and for all four
+    together, combined as the CLI combines several rulesets."""
+    rulesets = builtin_rulesets()
+    pairs = [(rulesets[name].rule, ref) for name, ref in _REFERENCE.items()]
+    refs = list(_REFERENCE.values())
+    pairs.append((
+        _combine([rs.rule for rs in rulesets.values()]),
+        lambda u, v: lany(*(r(u, v) for r in refs)),
+    ))
+    return pairs
+
+
+def _printed(answers):
+    return [print_term(a) for a in answers]
+
+
+def _walk_and_reduce(rule):
+    return (rule, lambda a, b: reduceo(rule, a, b))
+
+
+def test_compiled_rules_stream_the_reference_answers_in_order():
+    reg = default_registry()
+    terms = [parse_sexpr(text, registry=reg) for text in corpus_inputs(seed=7011, count=200)]
+    answered = 0
+    for rule, ref in _rule_pairs():
+        for t in terms:
+            for rel, ref_rel in zip(_walk_and_reduce(rule), _walk_and_reduce(ref)):
+                q = fresh_var()
+                got = _printed(run(0, q, walko(rel, t, q)))
+                assert got == _printed(run(0, q, walko(ref_rel, t, q))), print_term(t)
+                answered += len(got) > 1
+    assert answered > 500  # most runs rewrite something
+
+
+def test_compiled_rules_on_fresh_sides_stream_the_reference_answers():
+    for rule, ref in _rule_pairs():
+        e, r = fresh_var(), fresh_var()
+        q = term_from_list([e, r])
+        got = _printed(run(40, q, walko(rule, e, r)))
+        assert len(got) == 40
+        assert got == _printed(run(40, q, walko(ref, e, r)))
+
+
+def test_compiled_rules_run_both_ways_as_the_reference():
+    reg = default_registry()
+    texts = (
+        "(mul 2 5)", "(mul 2 (add 1 2))", "7", "(normal (add 1 2) (add 3 4))",
+        "(normal 3 (mul 2 2))", "(normal 3 (mul 2 5))",
+        "(binomial (10) (beta (add 2 (sum (7))) (add 2 (sub (sum (10)) (sum (7))))))",
+        "(observe (7) (binomial (10) (beta 2 2)))", "(add (normal 0 1) (normal 2 3))",
+        "(add 3 (mul 2 (normal 0 1)))", "(add 5 5)", "(log (exp (add 1 1)))",
+        "(mul ?a ?a)", "?z", "(normal ?m (add ?v 1))", "(add ?a . ?t)", "(mul 2 . ?t)",
+        "(?op 5 5)", "(?op ?a . ?t)", "(log 1)", "(sub 1 2)", "(scale 1 2)", "(1 2)",
+    )
+    answers = 0
+    for text in texts:
+        t = parse_sexpr(text, registry=reg)
+        for rule, ref in _rule_pairs():
+            q = fresh_var()
+            for u, v in ((q, t), (t, q)):
+                got = _printed(run(0, term_from_list([u, v]), rule(u, v)))
+                assert got == _printed(run(0, term_from_list([u, v]), ref(u, v))), text
+                answers += len(got)
+    assert answers > 50
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCE))
+@pytest.mark.parametrize("text", ["5", "mu", "()", "(sub 1 2)"])
+def test_rejected_rule_call_makes_no_variable_and_no_state(name, text):
+    u = parse_sexpr(text, registry=default_registry())
+    v = fresh_var()
+    goal = builtin_rulesets()[name].rule(u, v)
+    before = fresh_var().id
+    assert goal(State()) == ()
+    assert fresh_var().id == before + 1
