@@ -26,10 +26,8 @@ from .exprs import (
     OperatorDef,
     OperatorRegistry,
     UnknownOperatorError,
-    application_of_expr,
     builtin_registry,
     eval_expr,
-    expr_of_application,
     make_expr,
 )
 from .unify import (
@@ -70,8 +68,6 @@ from .relations import (
     GroundednessError,
     conso,
     eq_comm,
-    ground_order,
-    groundedness_score,
     membero,
     permuteo,
     reduceo,

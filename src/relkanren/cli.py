@@ -124,19 +124,28 @@ class _Emitter:
         return not (self.limit and self.count >= self.limit)
 
 
-def _run_stream(solutions, emitter, budget):
-    """Drain a solution stream through the emitter; returns the exit code."""
+def _run_stream(args, limit, query, *goals, seen=()):
+    """Stream the query's answers to ``--output`` (default stdout) under the
+    step budget and return the exit code.  Lines in ``seen`` are never
+    printed.  The caller has already checked its input, so a bad command
+    leaves no output file behind."""
+    out = sys.stdout if args.output is None else open(args.output, "w", encoding="utf-8")
+    emitter = _Emitter(out, limit)
+    emitter.seen.update(seen)
     exhausted = False
-    with step_budget(budget):
-        try:
-            for answer in solutions:
+    try:
+        with step_budget(args.max_steps):
+            for answer in iter_solutions(query, *goals):
                 if not emitter.emit(answer):
                     break
-        except StepBudgetExceeded:
-            exhausted = True
+    except StepBudgetExceeded:
+        exhausted = True
+    finally:
+        if out is not sys.stdout:
+            out.close()
     if exhausted:
         print(
-            f"step budget of {budget} exhausted; {emitter.count} answer(s) flushed",
+            f"step budget of {args.max_steps} exhausted; {emitter.count} answer(s) flushed",
             file=sys.stderr,
         )
         return EXIT_BUDGET
@@ -158,14 +167,8 @@ def cmd_rewrite(args) -> int:
         goal = walko(lambda a, b: reduceo(rel, a, b), term, q)
     else:
         goal = walko(rel, term, q)
-    out = sys.stdout if args.output is None else open(args.output, "w", encoding="utf-8")
-    try:
-        emitter = _Emitter(out, limit=args.max_answers)
-        emitter.seen.add(print_term(term))  # the identity rewrite
-        return _run_stream(iter_solutions(q, goal), emitter, args.max_steps)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    # the identity rewrite is never an answer
+    return _run_stream(args, args.max_answers, q, goal, seen=(print_term(term),))
 
 
 def _rule(ruleset, u, v):
@@ -231,13 +234,7 @@ def cmd_query(args) -> int:
         raise _CliError(f"query answer count must be >= 0, got {parts[1]}", EXIT_PARSE_ERROR)
     query = parts[2]
     goals = [_build_goal(g) for g in parts[3:]]
-    out = sys.stdout if args.output is None else open(args.output, "w", encoding="utf-8")
-    try:
-        emitter = _Emitter(out, limit=parts[1])
-        return _run_stream(iter_solutions(query, *goals), emitter, args.max_steps)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    return _run_stream(args, parts[1], query, *goals)
 
 
 def build_parser() -> argparse.ArgumentParser:

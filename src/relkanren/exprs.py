@@ -25,7 +25,7 @@ MEMO_CAP = 1 << 14
 
 
 class EvalError(Exception):
-    """Evaluation failed: domain error or a non-evaluable operator."""
+    """Evaluation failed: domain error, overflow or a non-evaluable operator."""
 
 
 class NonGroundError(EvalError):
@@ -43,17 +43,6 @@ class ArityError(EvalError):
 def make_expr(*items) -> ExprTerm:
     """Build an expression term; requires at least the operator item."""
     return ExprTerm(items)
-
-
-def expr_of_application(rator, rands) -> ExprTerm:
-    """Assemble an expression term from an operator and its operand sequence."""
-    return ExprTerm((rator, *rands))
-
-
-def application_of_expr(e: ExprTerm):
-    """Split an expression term into (operator, operand tuple)."""
-    items = tuple(tuple.__iter__(e))
-    return items[0], items[1:]
 
 
 @dataclass(frozen=True)
@@ -208,7 +197,10 @@ def _eval(t, reg):
                 )
             if frame.eval_fn is None:
                 raise EvalError(f"operator {frame.name} is not evaluable")
-            val = frame.eval_fn(args)
+            try:
+                val = frame.eval_fn(args)
+            except OverflowError as exc:
+                raise EvalError(f"{frame.name} overflowed: {exc}") from None
             if len(memo) >= MEMO_CAP:
                 memo.popitem(last=False)
             memo[node] = val

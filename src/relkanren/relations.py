@@ -2,7 +2,7 @@
 
 List relations (conso, membero), permutation matching, fixed-point
 reduction, whole-graph walking, rewrite rules compiled from records,
-groundedness ordering, and commutative argument matching.
+and commutative argument matching.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .terms import (
     ExprTerm,
     LogicVar,
     Symbol,
-    car,
     cdr,
     cons,
     fresh_var,
@@ -30,7 +29,7 @@ from .terms import (
     to_term,
 )
 from .goals import conde, delay, eq, lall, unify_state
-from .unify import EMPTY_SUBST, Substitution, term_eq, walk, walk_star
+from .unify import EMPTY_SUBST, _rebuild, term_eq, walk, walk_star
 
 
 class GroundednessError(Exception):
@@ -235,24 +234,20 @@ def _head(t, s):
     return None if t.__class__ is LogicVar else _NO_HEAD
 
 
-def _rename(t, fresh: dict):
-    # t with each variable replaced by its twin in fresh, made on first sight
-    if t.__class__ is LogicVar:
-        if t.id not in fresh:
-            fresh[t.id] = fresh_var(t.hint)
-        return fresh[t.id]
-    if getattr(t, "ground", True):
-        return t
-    return ExprTerm([_rename(x, fresh) for x in tuple.__iter__(t)])
-
-
 def _apply(r: Rule, u, v, state):
     """The state in which u is r's pattern and v its template, renamed
     fresh, with r's guards on, or None."""
     fresh = {}
-    lhs, rhs = _rename(r.lhs, fresh), _rename(r.rhs, fresh)
+
+    def twin(x):  # x's fresh twin, made on first sight
+        t = fresh.get(x.id)
+        if t is None:
+            t = fresh[x.id] = fresh_var(x.hint)
+        return t
+
+    lhs, rhs = _rebuild(r.lhs, EMPTY_SUBST, twin), _rebuild(r.rhs, EMPTY_SUBST, twin)
     for x, pred in r.guards:  # on a fresh variable, so it waits: one state
-        (state,) = type_constraint(_rename(x, fresh), pred)(state)
+        (state,) = type_constraint(twin(x), pred)(state)
     return unify_state(state, [(v, rhs), (u, lhs)])  # u unifies first
 
 
@@ -287,40 +282,6 @@ def compile_rules(*records: Rule) -> Callable:
     return rule
 
 
-def _fresh_vars_of(t, s: Substitution) -> set:
-    out = set()
-    stack = [t]
-    while stack:
-        x = walk(stack.pop(), s)
-        if getattr(x, "ground", True):
-            continue
-        if isinstance(x, LogicVar):
-            out.add(x)
-        elif isinstance(x, ConsCell):
-            stack.append(x.car)
-            stack.append(x.cdr)
-        else:
-            stack.extend(tuple.__iter__(x))
-    return out
-
-
-def groundedness_score(t, s: Substitution) -> int:
-    """Number of distinct fresh variables in walk_star(t, s)."""
-    return len(_fresh_vars_of(t, s))
-
-
-def ground_order(pairs, s: Substitution):
-    """Stable sort of term pairs, most-ground first.
-
-    The score of a pair is the count of distinct fresh variables across
-    both components, so failing or finite applications run before
-    potentially divergent fresh-fresh ones.
-    """
-    return sorted(
-        pairs, key=lambda uv: len(_fresh_vars_of(uv[0], s) | _fresh_vars_of(uv[1], s))
-    )
-
-
 def eq_comm(u, v, reg: OperatorRegistry):
     """Like eq, but when both sides apply the same commutative registry
     operator and both operand lists have a known spine, the operand lists
@@ -335,20 +296,12 @@ def eq_comm(u, v, reg: OperatorRegistry):
         s = state.subst
         uw = walk(u, s)
         vw = walk(v, s)
-        if is_application(uw) and is_application(vw):
-            op_u = walk(car(uw), s)
-            op_v = walk(car(vw), s)
-            if (
-                isinstance(op_u, Symbol)
-                and isinstance(op_v, Symbol)
-                and op_u.name == op_v.name
-                and op_u.name in reg
-                and reg.get(op_u.name).commutative
-            ):
-                ru = walk_star(cdr(uw), s)
-                rv = walk_star(cdr(vw), s)
-                if spine_elements(ru) is not None and spine_elements(rv) is not None:
-                    return permuteo(ru, rv)(state)
+        op = _head(uw, s)
+        if op.__class__ is str and op == _head(vw, s) and op in reg and reg.get(op).commutative:
+            ru = walk_star(cdr(uw), s)
+            rv = walk_star(cdr(vw), s)
+            if spine_elements(ru) is not None and spine_elements(rv) is not None:
+                return permuteo(ru, rv)(state)
         return eq(u, v)(state)
 
     return eq_comm_goal

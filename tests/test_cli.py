@@ -59,6 +59,39 @@ def test_rewrite_writes_output_file(tmp_path, capsys, monkeypatch):
     assert out_path.read_text() == "(mul 2 5)\n"
 
 
+def test_query_writes_output_file(tmp_path, capsys, monkeypatch):
+    out_path = tmp_path / "out.txt"
+    code, out, err = invoke(
+        capsys,
+        monkeypatch,
+        [
+            "query", "--goal", "(run 0 ?x (membero ?x (1 2 3)))",
+            "--output", str(out_path),
+        ],
+    )
+    assert code == EXIT_OK
+    assert out == ""
+    assert out_path.read_text() == "1\n2\n3\n"
+
+
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (["rewrite", "--rules", "math"], "(add 1"),
+        (["query", "--goal", "(run 1 ?q"], ""),
+    ],
+)
+def test_parse_error_leaves_no_output_file(tmp_path, capsys, monkeypatch, argv, stdin):
+    out_path = tmp_path / "out.txt"
+    code, out, err = invoke(
+        capsys, monkeypatch, argv + ["--output", str(out_path)], stdin=stdin
+    )
+    assert code == EXIT_PARSE_ERROR
+    assert out == ""
+    assert err.startswith("parse error: ")
+    assert not out_path.exists()
+
+
 def test_rewrite_no_answers_exit_one(capsys, monkeypatch):
     code, out, err = invoke(
         capsys,

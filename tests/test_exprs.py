@@ -10,10 +10,8 @@ from relkanren import (
     OperatorRegistry,
     Symbol,
     UnknownOperatorError,
-    application_of_expr,
     builtin_registry,
     eval_expr,
-    expr_of_application,
     fresh_var,
     make_expr,
     term_eq,
@@ -42,13 +40,6 @@ def test_expr_equals_its_cons_spine():
     spine = term_from_list([ADD, 1, 2])
     assert term_eq(e, spine)
     assert term_hash(e) == term_hash(spine)
-
-
-def test_application_round_trip():
-    e = make_expr(MUL, 2, 3)
-    rator, rands = application_of_expr(e)
-    assert rator == MUL
-    assert expr_of_application(rator, rands) == e
 
 
 def test_eval_basic_arithmetic():
@@ -203,3 +194,22 @@ def test_memo_is_bounded_and_still_hits():
     assert eval_expr(make_expr(inc_sym, 0), reg) == 1
     assert calls == n + 1
     assert len(reg._memo) <= exprs_module.MEMO_CAP
+
+
+BIG = 10**400
+
+
+@pytest.mark.parametrize(
+    "op, operands",
+    [
+        ("exp", (1000,)),
+        ("add", (1.5, BIG)),
+        ("div", (BIG, 3.0)),
+        ("sum", (term_from_list([1.5, BIG]),)),
+    ],
+)
+def test_overflow_raises_eval_error_naming_the_operator(op, operands):
+    reg = builtin_registry()
+    with pytest.raises(EvalError, match=f"^{op} overflowed"):
+        eval_expr(make_expr(Symbol(op), *operands), reg)
+    assert len(reg._memo) == 0

@@ -5,7 +5,6 @@ import pytest
 
 from relkanren import (
     GroundednessError,
-    Substitution,
     Symbol,
     alpha_eq,
     conde,
@@ -15,8 +14,6 @@ from relkanren import (
     eq,
     eq_comm,
     fresh_var,
-    ground_order,
-    groundedness_score,
     lall,
     lany,
     list_from_term,
@@ -186,26 +183,33 @@ def test_eq_comm_noncommutative_falls_back_to_eq():
     assert run(0, q, g) == ("ok",)
 
 
-def test_groundedness_score():
-    s = Substitution.empty()
-    assert groundedness_score(term_from_list([1, 2]), s) == 0
-    assert groundedness_score(cons(fresh_var(), fresh_var()), s) == 2
+def _fresh_vars_of(t, s) -> set:
+    # the distinct fresh variables of walk_star(t, s)
+    from relkanren.terms import ConsCell, LogicVar
+    from relkanren.unify import walk
+
+    out = set()
+    stack = [t]
+    while stack:
+        x = walk(stack.pop(), s)
+        if getattr(x, "ground", True):
+            continue
+        if isinstance(x, LogicVar):
+            out.add(x)
+        elif isinstance(x, ConsCell):
+            stack.append(x.car)
+            stack.append(x.cdr)
+        else:
+            stack.extend(tuple.__iter__(x))
+    return out
 
 
-def test_ground_order_sorts_by_freshness():
-    a, b, c = fresh_var(), fresh_var(), fresh_var()
-    s = Substitution.empty()
-    ordered = ground_order([(a, c), (b, 2)], s)
-    assert ordered[0] == (b, 2)
-    assert ordered[1] == (a, c)
-
-
-def test_ground_order_is_stable():
-    a, b = fresh_var(), fresh_var()
-    s = Substitution.empty()
-    pairs = [(1, 2), (3, 4), (a, b)]
-    ordered = ground_order(pairs, s)
-    assert ordered[:2] == [(1, 2), (3, 4)]
+def ground_order(pairs, s):
+    """Stable sort of term pairs, most-ground first: by the count of
+    distinct fresh variables across both components."""
+    return sorted(
+        pairs, key=lambda uv: len(_fresh_vars_of(uv[0], s) | _fresh_vars_of(uv[1], s))
+    )
 
 
 def _eq_comm_by_enumeration(u, v, reg):

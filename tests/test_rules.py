@@ -316,3 +316,18 @@ def test_rejected_rule_call_makes_no_variable_and_no_state(name, text):
     before = fresh_var().id
     assert goal(State()) == ()
     assert fresh_var().id == before + 1
+
+
+def test_record_with_a_list_pattern_runs_both_ways():
+    from relkanren.relations import compile_rules
+    from relkanren.rules import record
+
+    rule = compile_rules(record("((sum (?a ?b)) (add ?a ?b) (number ?a) (number ?b))"))
+    reg = default_registry()
+    q = fresh_var()
+    forward = rule(parse_sexpr("(sum (1 2))", registry=reg), q)
+    assert _printed(run(0, q, forward)) == ["(add 1 2)"]
+    backward = rule(q, parse_sexpr("(add 1 2)", registry=reg))
+    assert _printed(run(0, q, backward)) == ["(sum (1 2))"]
+    # the guard (number ?b) rejects the symbol x
+    assert run(0, q, rule(parse_sexpr("(sum (1 x))", registry=reg), q)) == ()
