@@ -201,6 +201,9 @@ def _eval(t, reg):
                 val = frame.eval_fn(args)
             except OverflowError as exc:
                 raise EvalError(f"{frame.name} overflowed: {exc}") from None
+            # inf and nan would print as symbols, so they are not values
+            if isinstance(val, float) and not math.isfinite(val):
+                raise EvalError(f"{frame.name} overflowed: the result {val!r} is not finite")
             if len(memo) >= MEMO_CAP:
                 memo.popitem(last=False)
             memo[node] = val

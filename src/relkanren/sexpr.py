@@ -17,8 +17,16 @@ from .terms import ConsCell, ExprTerm, LogicVar, Symbol, fresh_var, nil, spine
 
 _INT_RE = re.compile(r"[+-]?[0-9]+\Z")
 _FLOAT_RE = re.compile(r"[+-]?([0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)([eE][+-]?[0-9]+)?\Z")
-_DELIMS = set(' \t\r\n()";')
+# The next token after whitespace (what str.isspace accepts) and comments:
+# a paren, a string's opening quote, or an atom, which ends only at one of
+# ' \t\r\n()";' (so "x\fy" is one symbol); empty at the end of input.
+_TOKEN = re.compile(r'(?:\s+|;[^\n]*)*([()"]|[^ \t\r\n()";]*)')
+# The plain atoms that open a list, taken in one match: no variable, no
+# dot, no whitespace inside an atom, and each ends at a delimiter, so
+# str.split recovers exactly the atoms the token loop would read.
+_RUN = re.compile(r'(?:\s*[^\s()";?.][^\s()";]*(?=[ \t\r\n()";]|\Z))*')
 _DOT = object()
+_DOT_SYMBOL = Symbol(".")  # prints the " . " before an improper tail
 
 
 class ParseError(Exception):
@@ -35,74 +43,66 @@ class _Reader:
         self.text = text
         self.i = 0
         self.registry = registry
-        self.vars = {}
+        self.atoms = {}  # token -> term for each atom but ?_ (a document's ?x is one variable)
 
-    def _pos(self, i=None):
-        i = self.i if i is None else i
-        line = self.text.count("\n", 0, i) + 1
-        col = i - (self.text.rfind("\n", 0, i) + 1) + 1
-        return line, col
-
-    def error(self, message, at=None):
-        line, col = self._pos(at)
+    def error(self, message, at):
+        line = self.text.count("\n", 0, at) + 1
+        col = at - (self.text.rfind("\n", 0, at) + 1) + 1
         return ParseError(message, line, col)
-
-    def skip_ws(self):
-        text, n = self.text, len(self.text)
-        while self.i < n:
-            c = text[self.i]
-            if c == ";":
-                nl = text.find("\n", self.i)
-                self.i = n if nl < 0 else nl + 1
-            elif c.isspace():
-                self.i += 1
-            else:
-                return
 
     def read(self):
         """Read one term.  Lists still open wait on an explicit stack of
         ``[open_at, items, tail]`` frames, so nesting depth is not bounded
         by the interpreter stack.  tail is None until a lone dot, then
         _DOT while the tail term is read."""
-        text, n = self.text, len(self.text)
+        text, atoms = self.text, self.atoms
+        token, run = _TOKEN.match, _RUN.match
         stack = []
+        i = self.i
         while True:
-            self.skip_ws()
+            m = token(text, i)
+            tok, at, i = m[1], m.start(1), m.end()
             in_list = stack and stack[-1][2] is None
-            if self.i >= n:
+            if tok == "(":
+                items = []
+                stack.append([at, items, None])
+                r = run(text, i)
+                if r.end() > i:
+                    items += [atoms[a] if a in atoms else self.atom(a, at) for a in r[0].split()]
+                    i = r.end()
+                continue
+            if not tok:
                 if in_list:
                     raise self.error("unbalanced '('", stack[-1][0])
-                raise self.error("unexpected end of input")
-            c = text[self.i]
-            if c == "(":
-                stack.append([self.i, [], None])
-                self.i += 1
-                continue
-            if c == ")" and not in_list:
-                raise self.error("unbalanced ')'")
-            if in_list and c == "." and (self.i + 1 >= n or text[self.i + 1] in _DELIMS):
-                if not stack[-1][1]:
-                    raise self.error("misplaced '.' in list")
-                stack[-1][2] = _DOT
-                self.i += 1
-                continue
-            if c == ")":
-                self.i += 1
+                raise self.error("unexpected end of input", at)
+            if tok == ")":
+                if not in_list:
+                    raise self.error("unbalanced ')'", at)
                 term = self._close(stack.pop())
+            elif tok == '"':
+                self.i = at
+                term = self.read_string()
+                i = self.i
+            elif tok == "." and in_list:
+                if not stack[-1][1]:
+                    raise self.error("misplaced '.' in list", at)
+                stack[-1][2] = _DOT
+                continue
             else:
-                term = self.read_string() if c == '"' else self.read_atom()
+                term = atoms[tok] if tok in atoms else self.atom(tok, at)
             while stack:
                 frame = stack[-1]
                 if frame[2] is not _DOT:
                     frame[1].append(term)
                     break
                 frame[2] = term
-                self.skip_ws()
-                if self.i >= n or text[self.i] != ")":
-                    raise self.error("expected ')' after dotted tail")
-                self.i += 1
+                m = token(text, i)
+                if m[1] != ")":
+                    raise self.error("expected ')' after dotted tail", m.start(1))
+                i = m.end()
                 term = self._close(stack.pop())
             else:
+                self.i = i
                 return term
 
     def _close(self, frame):
@@ -139,39 +139,34 @@ class _Reader:
                 esc = text[self.i]
                 mapped = {"n": "\n", "t": "\t", "\\": "\\", '"': '"', "r": "\r"}.get(esc)
                 if mapped is None:
-                    raise self.error(f"bad string escape: \\{esc}")
+                    raise self.error(f"bad string escape: \\{esc}", self.i)
                 out.append(mapped)
             else:
                 out.append(c)
             self.i += 1
         raise self.error("unterminated string", start)
 
-    def read_atom(self):
-        start = self.i
-        text, n = self.text, len(self.text)
-        while self.i < n and text[self.i] not in _DELIMS:
-            self.i += 1
-        tok = text[start : self.i]
+    def atom(self, tok, at):
+        """The term for an atom token first seen at ``at``."""
         if tok == "#t":
-            return True
-        if tok == "#f":
-            return False
-        if tok.startswith("?"):
+            term = True
+        elif tok == "#f":
+            term = False
+        elif tok[0] == "?":
             name = tok[1:]
             if not name:
-                raise self.error("'?' needs a variable name (use ?_ for anonymous)", start)
+                raise self.error("'?' needs a variable name (use ?_ for anonymous)", at)
             if name == "_":
                 return fresh_var()
-            v = self.vars.get(name)
-            if v is None:
-                v = fresh_var(name)
-                self.vars[name] = v
-            return v
-        if _INT_RE.match(tok):
-            return int(tok)
-        if _FLOAT_RE.match(tok) and any(ch in tok for ch in ".eE"):
-            return float(tok)
-        return Symbol(tok)
+            term = fresh_var(name)
+        elif _INT_RE.match(tok):
+            term = int(tok)
+        elif _FLOAT_RE.match(tok) and any(ch in tok for ch in ".eE"):
+            term = float(tok)
+        else:
+            term = Symbol(tok)
+        self.atoms[tok] = term
+        return term
 
 
 def parse_sexpr(text: str, registry: OperatorRegistry | None = None):
@@ -182,9 +177,9 @@ def parse_sexpr(text: str, registry: OperatorRegistry | None = None):
     """
     reader = _Reader(text, registry)
     t = reader.read()
-    reader.skip_ws()
-    if reader.i < len(text):
-        raise reader.error("trailing content after term")
+    m = _TOKEN.match(text, reader.i)
+    if m[1]:
+        raise reader.error("trailing content after term", m.start(1))
     return t
 
 
@@ -204,40 +199,55 @@ def print_term(t) -> str:
     """
     names: dict[LogicVar, str] = {}
     out: list[str] = []
-    # work items: ('t', term) to render, or ('s', literal) to emit
-    work = [("t", t)]
-    while work:
-        kind, x = work.pop()
-        if kind == "s":
-            out.append(x)
-            continue
-        if isinstance(x, LogicVar):
-            name = names.get(x)
-            if name is None:
-                name = f"_{len(names)}"
-                names[x] = name
-            out.append(f"?{name}")
-        elif x is nil:
-            out.append("()")
-        elif isinstance(x, bool):
-            out.append("#t" if x else "#f")
-        elif isinstance(x, (int, float)):
-            out.append(repr(x))
-        elif isinstance(x, str):
-            out.append(f'"{_escape(x)}"')
-        elif isinstance(x, Symbol):
-            out.append(x.name)
-        elif isinstance(x, (ConsCell, ExprTerm)):
-            elems, tail = spine(x)
-            work.append(("s", ")"))
-            if tail is not nil:
-                work.append(("t", tail))
-                work.append(("s", " . "))
-            for j, e in enumerate(reversed(elems)):
-                work.append(("t", e))
-                if j < len(elems) - 1:
-                    work.append(("s", " "))
-            work.append(("s", "("))
+    push = out.append
+    # iterators over the items of the lists still open; every item is
+    # followed by " ", which a list's end overwrites with ")"
+    stack = []
+    items = iter((t,))
+    while True:
+        for x in items:
+            tx = type(x)
+            if tx is Symbol:
+                push(x.name)
+            elif tx is int or tx is float:
+                push(repr(x))
+            elif tx is ExprTerm:
+                push("(")
+                stack.append(items)
+                items = tuple.__iter__(x)
+                break
+            elif isinstance(x, LogicVar):
+                name = names.get(x)
+                if name is None:
+                    name = f"_{len(names)}"
+                    names[x] = name
+                push(f"?{name}")
+            elif x is nil:
+                push("()")
+            elif isinstance(x, bool):
+                push("#t" if x else "#f")
+            elif isinstance(x, (int, float)):
+                push(repr(x))
+            elif isinstance(x, str):
+                push(f'"{_escape(x)}"')
+            elif isinstance(x, Symbol):
+                push(x.name)
+            elif isinstance(x, (ConsCell, ExprTerm)):
+                elems, tail = spine(x)
+                if tail is not nil:
+                    elems += (_DOT_SYMBOL, tail)
+                push("(")
+                stack.append(items)
+                items = iter(elems)
+                break
+            else:
+                raise TypeError(f"cannot print {x!r}")
+            push(" ")
         else:
-            raise TypeError(f"cannot print {x!r}")
+            if not stack:
+                break
+            out[-1] = ")"
+            push(" ")
+            items = stack.pop()
+    out.pop()
     return "".join(out)

@@ -151,11 +151,10 @@ class ExprTerm(tuple):
     ground = True
 
     def __new__(cls, items):
-        items = tuple(items)
-        if not items:
-            raise ValueError("an expression term needs at least one item")
         self = tuple.__new__(cls, items)
-        for x in items:
+        if not self:
+            raise ValueError("an expression term needs at least one item")
+        for x in self:
             if not getattr(x, "ground", True):
                 self.ground = False
                 break
@@ -304,44 +303,58 @@ def _atom_hash(t):
 def term_hash(t) -> int:
     """Structural hash.  An expression term hashes like its cons spine, so
     terms that unify as equal hash equal.  Iterative; memoized on cells."""
+    # One frame per node being folded: an expression term, or the run of
+    # unhashed cons cells along a spine, whose parts are the cells' cars
+    # and then the term that ends the run.  Parts hash left to right onto
+    # `out`, the node's own from `base` on.
+    stack = []
     out = []
-    work = [(t, 0)]
-    while work:
-        node, phase = work.pop()
-        if phase == 0:
-            if isinstance(node, ConsCell):
-                if node._hash is not None:
-                    out.append(node._hash)
-                    continue
-                work.append((node, 1))
-                work.append((node.cdr, 0))
-                work.append((node.car, 0))
-            elif isinstance(node, ExprTerm):
-                cached = getattr(node, "_thash", None)
-                if cached is not None:
-                    out.append(cached)
-                    continue
-                work.append((node, 2))
-                for item in reversed(tuple(tuple.__iter__(node))):
-                    work.append((item, 0))
+    node, parts, base = None, iter((t,)), 0
+    while True:
+        for x in parts:
+            tx = type(x)
+            if tx is int:
+                h = hash(("int", x))
+            elif tx is Symbol:
+                h = hash(("sym", x.name))
+            elif isinstance(x, ConsCell):
+                h = x._hash
+                if h is None:
+                    cells = []
+                    while isinstance(x, ConsCell) and x._hash is None:
+                        cells.append(x)
+                        x = x.cdr
+                    cars = [c.car for c in cells]
+                    cars.append(x)
+                    stack.append((node, parts, base))
+                    node, parts, base = cells, iter(cars), len(out)
+                    break
+            elif isinstance(x, ExprTerm):
+                h = getattr(x, "_thash", None)
+                if h is None:
+                    stack.append((node, parts, base))
+                    node, parts, base = x, tuple.__iter__(x), len(out)
+                    break
             else:
-                out.append(_atom_hash(node))
-        elif phase == 1:
-            h_cdr = out.pop()
-            h_car = out.pop()
-            h = hash(("cons", h_car, h_cdr))
-            node._hash = h
+                h = _atom_hash(x)
             out.append(h)
-        else:  # expression term: fold its items like a proper spine
-            n = tuple.__len__(node)
-            hs = out[-n:]
-            del out[-n:]
-            h = _H_NIL
-            for ih in reversed(hs):
-                h = hash(("cons", ih, h))
-            node._thash = h
+        else:
+            if not stack:
+                return out[0]
+            hs = out[base:]
+            del out[base:]
+            if isinstance(node, list):
+                h = hs.pop()
+                for cell, ih in zip(reversed(node), reversed(hs)):
+                    h = hash(("cons", ih, h))
+                    cell._hash = h
+            else:  # an expression term folds its items like a proper spine
+                h = _H_NIL
+                for ih in reversed(hs):
+                    h = hash(("cons", ih, h))
+                node._thash = h
+            node, parts, base = stack.pop()
             out.append(h)
-    return out[0]
 
 
 def is_ground(t) -> bool:

@@ -14,6 +14,7 @@ from relkanren import (
     eval_expr,
     fresh_var,
     make_expr,
+    parse_sexpr,
     term_eq,
     term_from_list,
     term_hash,
@@ -212,4 +213,29 @@ def test_overflow_raises_eval_error_naming_the_operator(op, operands):
     reg = builtin_registry()
     with pytest.raises(EvalError, match=f"^{op} overflowed"):
         eval_expr(make_expr(Symbol(op), *operands), reg)
+    assert len(reg._memo) == 0
+
+
+@pytest.mark.parametrize(
+    "text, op",
+    [
+        ("(mul 1e308 10)", "mul"),
+        ("(add 1e308 1e308)", "add"),
+        ("(sub (mul 1e308 10) (mul 1e308 10))", "mul"),
+        ("(div 1e308 1e-308)", "div"),
+        ("(sum (1e308 1e308))", "sum"),
+    ],
+)
+def test_a_non_finite_float_result_is_an_overflow(text, op):
+    reg = builtin_registry()
+    with pytest.raises(EvalError, match=f"^{op} overflowed: .*inf"):
+        eval_expr(parse_sexpr(text, registry=reg), reg)
+    assert len(reg._memo) == 0
+
+
+def test_nan_from_infinite_operands_is_an_overflow():
+    reg = builtin_registry()
+    inf = float("inf")
+    with pytest.raises(EvalError, match="^sub overflowed: .*nan"):
+        eval_expr(make_expr(Symbol("sub"), inf, inf), reg)
     assert len(reg._memo) == 0
