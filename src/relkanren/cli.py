@@ -93,50 +93,32 @@ def _combine(rules):
     return lambda u, v: lany(*(r(u, v) for r in rules))
 
 
-class _Emitter:
-    """Stream answers to the sink, one printed line each.
-
-    An answer's identity is its printed line: a line already in ``seen``
-    is not printed again.  A caller may seed ``seen`` with lines that must
-    never be printed, such as the input of a rewrite.
-
-    ``walko`` streams each rewrite of a known term once per set of
-    positions that yields it, so the filter still has two jobs there: two
-    sets of positions can rewrite to the same term, and the search always
-    streams the unchanged term, which ``rewrite`` seeds into ``seen``.
-    """
-
-    def __init__(self, out, limit=0):
-        self.out = out
-        self.limit = limit
-        self.seen = set()
-        self.count = 0
-
-    def emit(self, term) -> bool:
-        """Print one answer; returns False once the answer limit is hit."""
-        line = print_term(term)
-        if line in self.seen:
-            return True
-        self.seen.add(line)
-        self.out.write(line + "\n")
-        self.out.flush()
-        self.count += 1
-        return not (self.limit and self.count >= self.limit)
-
-
 def _run_stream(args, limit, query, *goals, seen=()):
     """Stream the query's answers to ``--output`` (default stdout) under the
     step budget and return the exit code.  Lines in ``seen`` are never
     printed.  The caller has already checked its input, so a bad command
     leaves no output file behind."""
+    # An answer's identity is its printed line: a line already seen is not
+    # printed again.  walko streams each rewrite of a known term once per
+    # set of positions that yields it, so the filter still has two jobs
+    # there: two sets of positions can rewrite to the same term, and the
+    # search always streams the unchanged term, which rewrite seeds into
+    # ``seen``.
+    seen = set(seen)
+    count = 0
     out = sys.stdout if args.output is None else open(args.output, "w", encoding="utf-8")
-    emitter = _Emitter(out, limit)
-    emitter.seen.update(seen)
     exhausted = False
     try:
         with step_budget(args.max_steps):
             for answer in iter_solutions(query, *goals):
-                if not emitter.emit(answer):
+                line = print_term(answer)
+                if line in seen:
+                    continue
+                seen.add(line)
+                out.write(line + "\n")
+                out.flush()
+                count += 1
+                if count == limit:
                     break
     except StepBudgetExceeded:
         exhausted = True
@@ -145,11 +127,11 @@ def _run_stream(args, limit, query, *goals, seen=()):
             out.close()
     if exhausted:
         print(
-            f"step budget of {args.max_steps} exhausted; {emitter.count} answer(s) flushed",
+            f"step budget of {args.max_steps} exhausted; {count} answer(s) flushed",
             file=sys.stderr,
         )
         return EXIT_BUDGET
-    return EXIT_OK if emitter.count else EXIT_NO_ANSWERS
+    return EXIT_OK if count else EXIT_NO_ANSWERS
 
 
 def cmd_rewrite(args) -> int:

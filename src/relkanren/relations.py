@@ -240,9 +240,9 @@ def _apply(r: Rule, u, v, state):
     fresh = {}
 
     def twin(x):  # x's fresh twin, made on first sight
-        t = fresh.get(x.id)
+        t = fresh.get(x)
         if t is None:
-            t = fresh[x.id] = fresh_var(x.hint)
+            t = fresh[x] = fresh_var(x.hint)
         return t
 
     lhs, rhs = _rebuild(r.lhs, EMPTY_SUBST, twin), _rebuild(r.rhs, EMPTY_SUBST, twin)

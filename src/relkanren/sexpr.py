@@ -10,6 +10,7 @@ list.  ``;`` starts a comment to end of line.
 
 from __future__ import annotations
 
+import math
 import re
 
 from .exprs import OperatorRegistry
@@ -68,8 +69,11 @@ class _Reader:
                 stack.append([at, items, None])
                 r = run(text, i)
                 if r.end() > i:
-                    items += [atoms[a] if a in atoms else self.atom(a, at) for a in r[0].split()]
-                    i = r.end()
+                    try:
+                        items += [atoms[a] if a in atoms else self.atom(a, at) for a in r[0].split()]
+                        i = r.end()
+                    except ParseError:
+                        pass  # read again one token at a time, so the error points at the atom
                 continue
             if not tok:
                 if in_list:
@@ -163,6 +167,8 @@ class _Reader:
             term = int(tok)
         elif _FLOAT_RE.match(tok) and any(ch in tok for ch in ".eE"):
             term = float(tok)
+            if math.isinf(term):
+                raise self.error(f"number out of range: {tok}", at)
         else:
             term = Symbol(tok)
         self.atoms[tok] = term

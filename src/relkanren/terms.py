@@ -5,6 +5,9 @@ Atoms are plain Python values (``int``, ``float``, ``str``, ``bool``) plus
 strict on the variant: the integer ``2`` and the decimal ``2.0`` are distinct
 terms, as are ``True`` and ``1``.
 
+A logic variable is its object: equality between variables is identity,
+and ``LogicVar.id`` only orders creation and feeds :func:`term_hash`.
+
 Every term answers ``ground`` in O(1): an atom is ground, a
 :class:`LogicVar` is not, and a cons cell or expression term records at
 construction whether all its parts are, so traversals skip ground subterms
@@ -48,10 +51,13 @@ class Symbol:
 
 
 class LogicVar:
-    """A logic variable, identified solely by its id.
+    """A logic variable.  A variable is its object: it equals only itself
+    and hashes by identity, as miniKanren's ``walk`` finds a variable with
+    ``eq?``, so a substitution lookup is one C-level ``dict.get``.
 
-    The optional hint is for display only and never participates in
-    equality or hashing.
+    ``id`` orders creation (fresh_var issues increasing ids) and feeds
+    :func:`term_hash`.  Two separately built ``LogicVar(n)`` are distinct
+    variables.  The optional hint is for display only.
     """
 
     __slots__ = ("id", "hint")
@@ -61,12 +67,6 @@ class LogicVar:
     def __init__(self, id: int, hint: str | None = None):
         self.id = id
         self.hint = hint
-
-    def __eq__(self, other):
-        return isinstance(other, LogicVar) and self.id == other.id
-
-    def __hash__(self):
-        return hash(("var", self.id))
 
     def __repr__(self):
         if self.hint:

@@ -5,6 +5,11 @@ operation (walk_star, unify, occurs, reify) uses explicit work stacks so
 that structures hundreds of thousands of cells deep do not exhaust the
 interpreter stack.
 
+A variable is its object (see :class:`relkanren.terms.LogicVar`): it
+equals only itself, so variables compare by ``is`` and each step of a walk
+is one C-level ``dict.get`` with an identity hash.  ``LogicVar.id`` only
+orders creation and feeds ``term_hash``.
+
 A ground subterm (see :func:`relkanren.terms.is_ground`) holds no variable,
 so the occurs check skips it and walk_star and reify return it as it is,
 each in O(1): binding a variable to a large ground value costs no walk of
@@ -41,9 +46,6 @@ class Substitution:
     def empty(cls) -> "Substitution":
         return cls()
 
-    def get(self, v: LogicVar):
-        return self._m.get(v)
-
     def extend(self, delta: dict) -> "Substitution":
         m = dict(self._m)
         m.update(delta)
@@ -65,7 +67,7 @@ def walk(t, s: Substitution):
     Shallow: never descends into cons or expression structure.
     """
     while isinstance(t, LogicVar):
-        nxt = s.get(t)
+        nxt = s._m.get(t)
         if nxt is None:
             return t
         t = nxt
@@ -74,12 +76,11 @@ def walk(t, s: Substitution):
 
 def _walk2(t, s: Substitution, delta: dict):
     while isinstance(t, LogicVar):
-        if t in delta:
-            t = delta[t]
-            continue
-        nxt = s.get(t)
+        nxt = delta.get(t)
         if nxt is None:
-            return t
+            nxt = s._m.get(t)
+            if nxt is None:
+                return t
         t = nxt
     return t
 
@@ -96,7 +97,7 @@ def _occurs(v, t, s, delta) -> bool:
         if getattr(x, "ground", True):
             continue
         if isinstance(x, LogicVar):
-            if x.id == v.id:
+            if x is v:
                 return True
         elif isinstance(x, ConsCell):
             stack.append(x.car)
@@ -120,8 +121,7 @@ def unify_delta(pairs, s: Substitution, occurs_check: bool = True):
         u_var = isinstance(u, LogicVar)
         v_var = isinstance(v, LogicVar)
         if u_var and v_var:
-            if u.id != v.id:
-                delta[u] = v
+            delta[u] = v
             continue
         if u_var:
             if occurs_check and _occurs(u, v, s, delta):
@@ -186,49 +186,41 @@ def _rebuild(t, s: Substitution, on_var):
     parts all come back unchanged is kept as is, which also keeps its
     memoized hash.
     """
-    # most calls (constraint targets) resolve one variable: no work stack
-    if isinstance(t, LogicVar):
-        t = walk(t, s)
-        if isinstance(t, LogicVar):
-            return on_var(t)
-    if getattr(t, "ground", True):
-        return t
+    get = s._m.get
+    # One frame per compound node being copied: its parts go left to right
+    # onto `out`, the node's own from `base` on; `changed` is set once one
+    # of them comes back as another object.
+    stack = []
     out = []
-    work = [(t, 0)]
-    while work:
-        node, phase = work.pop()
-        if phase == 0:
-            if isinstance(node, LogicVar):
-                node = walk(node, s)
-                if isinstance(node, LogicVar):
-                    out.append(on_var(node))
-                    continue
-            if getattr(node, "ground", True):
-                out.append(node)
-            elif isinstance(node, ConsCell):
-                work.append((node, 1))
-                work.append((node.cdr, 0))
-                work.append((node.car, 0))
-            else:
-                work.append((node, 2))
-                for item in reversed(tuple(tuple.__iter__(node))):
-                    work.append((item, 0))
-        elif phase == 1:
-            new_cdr = out.pop()
-            new_car = out.pop()
-            if new_car is node.car and new_cdr is node.cdr:
-                out.append(node)
-            else:
-                out.append(ConsCell(new_car, new_cdr))
+    node, parts, base, changed = None, iter((t,)), 0, False
+    while True:
+        for x in parts:
+            y = x
+            while isinstance(y, LogicVar):
+                z = get(y)
+                if z is None:
+                    y = on_var(y)
+                    break
+                y = z
+            else:  # y is no variable: descend into it unless it is ground
+                if not getattr(y, "ground", True):
+                    stack.append((node, parts, base, changed or y is not x))
+                    node, base, changed = y, len(out), False
+                    parts = iter((y.car, y.cdr)) if isinstance(y, ConsCell) else tuple.__iter__(y)
+                    break
+            if y is not x:
+                changed = True
+            out.append(y)
         else:
-            n = tuple.__len__(node)
-            items = out[-n:]
-            del out[-n:]
-            if all(a is b for a, b in zip(items, tuple.__iter__(node))):
-                out.append(node)
-            else:
-                out.append(ExprTerm(items))
-    return out[0]
+            if not stack:
+                return out[0]
+            if changed:
+                new = out[base:]
+                node = ConsCell(*new) if isinstance(node, ConsCell) else ExprTerm(new)
+            del out[base:]
+            out.append(node)
+            node, parts, base, up = stack.pop()
+            changed = changed or up
 
 
 def _unchanged(v):
@@ -241,14 +233,21 @@ def walk_star(t, s: Substitution):
     return _rebuild(t, s, _unchanged)
 
 
+_display_vars: dict[int, LogicVar] = {}
+
+
 def display_var(index: int) -> LogicVar:
     """The variable :func:`reify` puts in place of the index-th unbound one.
 
-    Its id is negative, so it never equals a variable from fresh_var, and it
-    is the same for every call with the same index, which makes
-    reification idempotent and deterministic.
+    One object per index, shared by every caller (``setdefault`` keeps
+    concurrent first calls to one winner), which makes reification
+    idempotent and deterministic.  Its id is negative, never one that
+    fresh_var issues.
     """
-    return LogicVar(-1 - index, f"_{index}")
+    dv = _display_vars.get(index)
+    if dv is None:
+        dv = _display_vars.setdefault(index, LogicVar(-1 - index, f"_{index}"))
+    return dv
 
 
 def reify(t, s: Substitution):

@@ -116,6 +116,26 @@ def test_parse_error_reports_position():
         parse_sexpr('"unterminated')
 
 
+@pytest.mark.parametrize(
+    "text, token, line, col",
+    [
+        ("1e999", "1e999", 1, 1),
+        ("-1e999", "-1e999", 1, 1),
+        ("(add 1e999 1)", "1e999", 1, 6),
+        ("(1 2\n  -1e999)", "-1e999", 2, 3),
+        ("(?x 1e999)", "1e999", 1, 5),
+        ("(1 . 1e999)", "1e999", 1, 6),
+        ("(1 " + "9" * 400 + ".5)", "9" * 400 + ".5", 1, 4),
+    ],
+    ids=["atom", "negative", "list", "second-line", "after-variable", "dotted-tail", "long"],
+)
+def test_overflowing_decimal_is_a_parse_error(text, token, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse_sexpr(text)
+    assert str(exc.value) == f"number out of range: {token} (line {line}, column {col})"
+    assert (exc.value.line, exc.value.col) == (line, col)
+
+
 def test_print_atoms():
     assert print_term(42) == "42"
     assert print_term(2.5) == "2.5"

@@ -1,12 +1,16 @@
 import importlib
+import sys
+import threading
 
 from hypothesis import given, settings, strategies as st
 
 from relkanren import (
+    LogicVar,
     Substitution,
     alpha_eq,
     cons,
     fresh_var,
+    list_from_term,
     make_expr,
     nil,
     occurs,
@@ -196,3 +200,45 @@ def test_occurs_check_skips_a_ground_value(monkeypatch):
     assert s is not None and walk(x, s) is big
     # the calls made inside the occurs check: one walk of the value itself
     assert 1 <= calls - without_check <= 2
+
+
+def test_a_variable_equals_only_itself():
+    a, b = LogicVar(5), LogicVar(5)
+    assert a == a and a != b
+    assert not term_eq(a, b)
+    assert walk(a, unify(a, b, EMPTY)) is b
+
+
+def test_reify_twice_shares_the_display_variables():
+    a, b = fresh_var(), fresh_var()
+    t = cons(make_expr(Symbol("add"), a, b), term_from_list([b, a]))
+    r1, r2 = reify(t, EMPTY), reify(t, EMPTY)
+    assert r1.car[1] is r2.car[1] is unify_module.display_var(0)
+    assert r1.car[2] is r2.car[2] is unify_module.display_var(1)
+    assert alpha_eq(r1, r2) and alpha_eq(r1, t)
+
+
+def test_concurrent_reify_shares_one_display_variable_per_index():
+    n_threads, n_vars = 4, 50
+    start = threading.Barrier(n_threads)
+    results = [None] * n_threads
+
+    def work(k):
+        t = term_from_list([fresh_var() for _ in range(n_vars)])
+        start.wait(timeout=10)
+        results[k] = list_from_term(reify(t, EMPTY))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(n_threads)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for i in range(n_vars):
+        assert len({id(items[i]) for items in results}) == 1
+        assert results[0][i] is unify_module.display_var(i)
