@@ -188,7 +188,7 @@ def _eval(t, reg):
             new_cdr = out.pop()
             out[-1] = ConsCell(out[-1], new_cdr)
         else:
-            k = len(out) - (tuple.__len__(node) - 1)
+            k = len(out) - (len(node) - 1)
             args = out[k:]
             del out[k:]
             if frame.arity is not None and len(args) != frame.arity:

@@ -8,6 +8,7 @@ and commutative argument matching.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from typing import Callable, NamedTuple
 
 from .constraints import type_constraint
@@ -25,11 +26,10 @@ from .terms import (
     nil,
     spine_elements,
     term_from_list,
-    term_hash,
     to_term,
 )
 from .goals import conde, delay, eq, lall, unify_state
-from .unify import EMPTY_SUBST, _rebuild, term_eq, walk, walk_star
+from .unify import EMPTY_SUBST, _rebuild, walk, walk_star
 
 
 class GroundednessError(Exception):
@@ -53,37 +53,33 @@ def membero(x, coll):
     )
 
 
-class _Key:
-    """Strict structural wrapper so multisets distinguish 2 from 2.0."""
-
-    __slots__ = ("t",)
-
-    def __init__(self, t):
-        self.t = t
-
-    def __eq__(self, other):
-        return term_eq(self.t, other.t)
-
-    def __hash__(self):
-        return term_hash(self.t)
-
-
-def _multiset(elems):
-    counts: dict = {}
-    for e in elems:
-        k = _Key(e)
-        counts[k] = counts.get(k, 0) + 1
-    return counts
+def _key(t):
+    """A dict key for t that is strict on atom variants.  A compound term
+    is its own key, since its equality already is; an atom is keyed with
+    its type, so 2, 2.0 and #t are three keys."""
+    return t if is_application(t) else (type(t), t)
 
 
 def _distinct_permutations(items):
-    """Each ordering of items once, in itertools.permutations order."""
-    seen = set()
-    for perm in itertools.permutations(items):
-        key = tuple(_Key(x) for x in perm)
-        if key not in seen:
-            seen.add(key)
-            yield perm
+    """Each ordering of items once, in itertools.permutations order.
+
+    An ordering first comes up there at the one index order in which equal
+    items (equal _key) keep their given order, so no ordering is stored.
+    """
+    last = {}
+    before = []  # before[i]: the index of the last item ahead of i equal to it, or -1
+    for i, x in enumerate(items):
+        k = _key(x)
+        before.append(last.get(k, -1))
+        last[k] = i
+    for order in itertools.permutations(range(len(items))):
+        placed = {-1}
+        for i in order:
+            if before[i] not in placed:
+                break
+            placed.add(i)
+        else:
+            yield tuple(items[i] for i in order)
 
 
 def permuteo(a, b):
@@ -105,7 +101,7 @@ def permuteo(a, b):
             if len(a_elems) != len(b_elems):
                 return
             if is_ground(aw) and is_ground(bw):
-                if _multiset(a_elems) == _multiset(b_elems):
+                if Counter(map(_key, a_elems)) == Counter(map(_key, b_elems)):
                     yield state
                 return
         if a_elems is None and b_elems is None:

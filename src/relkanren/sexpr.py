@@ -14,7 +14,7 @@ import math
 import re
 
 from .exprs import OperatorRegistry
-from .terms import ConsCell, ExprTerm, LogicVar, Symbol, fresh_var, nil, spine
+from .terms import Compound, ConsCell, ExprTerm, LogicVar, Symbol, fresh_var, nil, spine
 
 _INT_RE = re.compile(r"[+-]?[0-9]+\Z")
 _FLOAT_RE = re.compile(r"[+-]?([0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)([eE][+-]?[0-9]+)?\Z")
@@ -165,9 +165,10 @@ class _Reader:
             term = fresh_var(name)
         elif _INT_RE.match(tok):
             term = int(tok)
-        elif _FLOAT_RE.match(tok) and any(ch in tok for ch in ".eE"):
+        elif (m := _FLOAT_RE.match(tok)) and any(ch in tok for ch in ".eE"):
             term = float(tok)
-            if math.isinf(term):
+            # out of range: too large, or read as zero from a nonzero mantissa
+            if math.isinf(term) or not term and m[1].strip("0."):
                 raise self.error(f"number out of range: {tok}", at)
         else:
             term = Symbol(tok)
@@ -220,7 +221,7 @@ def print_term(t) -> str:
             elif tx is ExprTerm:
                 push("(")
                 stack.append(items)
-                items = tuple.__iter__(x)
+                items = iter(x)
                 break
             elif isinstance(x, LogicVar):
                 name = names.get(x)
@@ -238,7 +239,7 @@ def print_term(t) -> str:
                 push(f'"{_escape(x)}"')
             elif isinstance(x, Symbol):
                 push(x.name)
-            elif isinstance(x, (ConsCell, ExprTerm)):
+            elif isinstance(x, Compound):
                 elems, tail = spine(x)
                 if tail is not nil:
                     elems += (_DOT_SYMBOL, tail)

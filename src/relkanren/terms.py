@@ -104,7 +104,35 @@ class _Nil:
 nil = _Nil()
 
 
-class ConsCell:
+class Compound:
+    """A cons cell or an expression term: the one owner of structural
+    equality (:func:`~relkanren.unify.term_eq`), hash (:func:`term_hash`)
+    and printed form.  Its slots are empty, as ``tuple``, a second base of
+    ExprTerm, requires."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if not isinstance(other, Compound):
+            return NotImplemented
+        from .unify import term_eq
+
+        return term_eq(self, other)
+
+    def __ne__(self, other):
+        res = self.__eq__(other)
+        return res if res is NotImplemented else not res
+
+    def __hash__(self):
+        return term_hash(self)
+
+    def __repr__(self):
+        from .sexpr import print_term
+
+        return print_term(self)
+
+
+class ConsCell(Compound):
     """A pair of terms.  The cdr may be any term (improper lists allowed).
 
     ``ground`` is set once, from the parts' own flags, and is true when no
@@ -119,23 +147,8 @@ class ConsCell:
         self._hash = None
         self.ground = getattr(car, "ground", True) and getattr(cdr, "ground", True)
 
-    def __eq__(self, other):
-        if not isinstance(other, (ConsCell, ExprTerm)):
-            return NotImplemented
-        from .unify import term_eq
 
-        return term_eq(self, other)
-
-    def __hash__(self):
-        return term_hash(self)
-
-    def __repr__(self):
-        from .sexpr import print_term
-
-        return print_term(self)
-
-
-class ExprTerm(tuple):
+class ExprTerm(Compound, tuple):
     """An operator-application term behaving as an immutable sequence.
 
     The first item is the operator position.  It unifies, compares and
@@ -168,27 +181,6 @@ class ExprTerm(tuple):
             return ExprTerm(part)
         return tuple.__getitem__(self, key)
 
-    def __eq__(self, other):
-        if not isinstance(other, (ExprTerm, ConsCell)):
-            return NotImplemented
-        from .unify import term_eq
-
-        return term_eq(self, other)
-
-    def __ne__(self, other):
-        res = self.__eq__(other)
-        if res is NotImplemented:
-            return res
-        return not res
-
-    def __hash__(self):
-        return term_hash(self)
-
-    def __repr__(self):
-        from .sexpr import print_term
-
-        return print_term(self)
-
 
 def cons(car, cdr) -> ConsCell:
     """Construct a cons pair; cons(x, nil) is the one-element list (x)."""
@@ -198,7 +190,7 @@ def cons(car, cdr) -> ConsCell:
 def is_application(t) -> bool:
     """True for terms with a head/tail decomposition: cons cells and
     nonempty expression terms."""
-    return isinstance(t, (ConsCell, ExprTerm))
+    return isinstance(t, Compound)
 
 
 def car(t):
@@ -215,7 +207,7 @@ def cdr(t):
     if isinstance(t, ConsCell):
         return t.cdr
     if isinstance(t, ExprTerm):
-        return term_from_list(list(tuple.__iter__(t))[1:])
+        return term_from_list(list(t)[1:])
     raise DecompositionError(f"cannot take cdr of {t!r}")
 
 
@@ -241,7 +233,7 @@ def spine(t):
         out.append(t.car)
         t = t.cdr
     if isinstance(t, ExprTerm):
-        out.extend(tuple.__iter__(t))
+        out.extend(t)
         t = nil
     return out, t
 
@@ -270,7 +262,7 @@ def to_term(obj):
     Terms pass through unchanged; this is a convenience for goal
     constructors so callers can write ``membero(x, (1, 2, 3))``.
     """
-    if obj is nil or isinstance(obj, (LogicVar, ConsCell, ExprTerm, Symbol)):
+    if obj is nil or isinstance(obj, (LogicVar, Compound, Symbol)):
         return obj
     if isinstance(obj, (list, tuple)):
         return term_from_list([to_term(x) for x in obj])
@@ -333,7 +325,7 @@ def term_hash(t) -> int:
                 h = getattr(x, "_thash", None)
                 if h is None:
                     stack.append((node, parts, base))
-                    node, parts, base = x, tuple.__iter__(x), len(out)
+                    node, parts, base = x, iter(x), len(out)
                     break
             else:
                 h = _atom_hash(x)

@@ -18,15 +18,7 @@ the value.
 
 from __future__ import annotations
 
-from .terms import (
-    ConsCell,
-    ExprTerm,
-    LogicVar,
-    car,
-    cdr,
-    is_application,
-    nil,
-)
+from .terms import Compound, ConsCell, ExprTerm, LogicVar, term_from_list
 
 
 class Substitution:
@@ -103,7 +95,7 @@ def _occurs(v, t, s, delta) -> bool:
             stack.append(x.car)
             stack.append(x.cdr)
         else:
-            stack.extend(tuple.__iter__(x))
+            stack.extend(x)
     return False
 
 
@@ -118,40 +110,26 @@ def unify_delta(pairs, s: Substitution, occurs_check: bool = True):
         v = _walk2(v, s, delta)
         if u is v:
             continue
-        u_var = isinstance(u, LogicVar)
-        v_var = isinstance(v, LogicVar)
-        if u_var and v_var:
-            delta[u] = v
-            continue
-        if u_var:
+        if isinstance(u, LogicVar):
             if occurs_check and _occurs(u, v, s, delta):
                 return None
             delta[u] = v
-            continue
-        if v_var:
+        elif isinstance(v, LogicVar):
             if occurs_check and _occurs(v, u, s, delta):
                 return None
             delta[v] = u
-            continue
-        u_app = is_application(u)
-        v_app = is_application(v)
-        if u_app and v_app:
-            if (
-                isinstance(u, ExprTerm)
-                and isinstance(v, ExprTerm)
-                and tuple.__len__(u) == tuple.__len__(v)
-            ):
-                stack.extend(zip(tuple.__iter__(u), tuple.__iter__(v)))
-                continue
-            stack.append((cdr(u), cdr(v)))
-            stack.append((car(u), car(v)))
-            continue
-        if u_app or v_app:
-            return None
-        if u is nil or v is nil:
-            return None  # nil == nil handled by `u is v`
-        if type(u) is not type(v) or u != v:
-            return None
+        elif not (isinstance(u, Compound) and isinstance(v, Compound)):
+            if type(u) is not type(v) or u != v:
+                return None
+        elif type(u) is ExprTerm and type(v) is ExprTerm and len(u) == len(v):
+            stack.extend(zip(u, v))
+        else:  # pair the cons spines, an expression term read as its own
+            if type(u) is not ConsCell:
+                u = term_from_list(u)
+            if type(v) is not ConsCell:
+                v = term_from_list(v)
+            stack.append((u.cdr, v.cdr))
+            stack.append((u.car, v.car))
     return delta
 
 
@@ -206,7 +184,7 @@ def _rebuild(t, s: Substitution, on_var):
                 if not getattr(y, "ground", True):
                     stack.append((node, parts, base, changed or y is not x))
                     node, base, changed = y, len(out), False
-                    parts = iter((y.car, y.cdr)) if isinstance(y, ConsCell) else tuple.__iter__(y)
+                    parts = iter((y.car, y.cdr)) if isinstance(y, ConsCell) else iter(y)
                     break
             if y is not x:
                 changed = True

@@ -137,6 +137,23 @@ def test_overflowing_decimal_exits_four_with_one_line(capsys, monkeypatch, argv,
     assert got == err
 
 
+@pytest.mark.parametrize(
+    "argv, stdin, err",
+    [
+        (["rewrite", "--rules", "math"], "(add 1e-999 1e-999)",
+         "parse error: number out of range: 1e-999 (line 1, column 6)\n"),
+        (["query", "--goal", "(run 0 ?x (eq ?x -1e-999))"], "",
+         "parse error: number out of range: -1e-999 (line 1, column 18)\n"),
+    ],
+    ids=["rewrite", "query"],
+)
+def test_underflowing_decimal_exits_four_with_one_line(capsys, monkeypatch, argv, stdin, err):
+    code, out, got = invoke(capsys, monkeypatch, argv, stdin=stdin)
+    assert code == EXIT_PARSE_ERROR
+    assert out == ""
+    assert got == err
+
+
 def test_rewrite_budget_exhaustion(capsys, monkeypatch):
     code, out, err = invoke(
         capsys,

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -27,8 +28,10 @@ from relkanren import (
     run,
     term_eq,
     term_from_list,
+    term_hash,
     walko,
 )
+from relkanren.relations import _distinct_permutations
 from relkanren.rules import math_reduce_rule
 from relkanren.terms import spine_elements
 
@@ -123,6 +126,69 @@ def test_permuteo_reverse_direction():
 def test_permuteo_needs_one_ground_spine():
     with pytest.raises(GroundednessError):
         run(1, fresh_var(), permuteo(fresh_var(), fresh_var()))
+
+
+class _RefKey:
+    """Strict structural wrapper so multisets distinguish 2 from 2.0."""
+
+    __slots__ = ("t",)
+
+    def __init__(self, t):
+        self.t = t
+
+    def __eq__(self, other):
+        return term_eq(self.t, other.t)
+
+    def __hash__(self):
+        return term_hash(self.t)
+
+
+def _ref_distinct_permutations(items):
+    """Each ordering of items once, kept out of a set of every ordering
+    already yielded."""
+    seen = set()
+    for perm in itertools.permutations(items):
+        key = tuple(_RefKey(x) for x in perm)
+        if key not in seen:
+            seen.add(key)
+            yield perm
+
+
+def test_distinct_permutations_match_the_seen_set_reference():
+    rng = random.Random(1502)
+    shared = [fresh_var(), fresh_var()]
+
+    def pool():
+        return [
+            2, 2.0, True, 1, Symbol("s"), "s", nil,
+            make_expr(ADD, 1, 2), term_from_list([ADD, 1, 2]),
+            cons(1, 2), cons(1, 2), cons(1, 2.0),
+            make_expr(ADD, shared[0], 2), term_from_list([ADD, shared[0], 2]),
+            shared[0], shared[1], fresh_var(),
+        ]
+
+    orderings = 0
+    for _ in range(500):
+        items = rng.choices(pool(), k=rng.randrange(7))
+        got = list(_distinct_permutations(items))
+        ref = list(_ref_distinct_permutations(items))
+        assert len(got) == len(ref), items
+        for a, b in zip(got, ref):
+            assert len(a) == len(b) and all(x is y for x, y in zip(a, b)), items
+        orderings += len(ref)
+    assert orderings > 25_000
+
+
+def test_distinct_permutations_store_no_ordering():
+    items = list(range(8))
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in _distinct_permutations(items))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 40_320
+    assert peak < 2_000_000, peak
 
 
 def test_reduceo_first_answer_is_most_reduced():

@@ -136,6 +136,34 @@ def test_overflowing_decimal_is_a_parse_error(text, token, line, col):
     assert (exc.value.line, exc.value.col) == (line, col)
 
 
+@pytest.mark.parametrize(
+    "text, token, line, col",
+    [
+        ("1e-999", "1e-999", 1, 1),
+        ("-1e-999", "-1e-999", 1, 1),
+        ("(add 1e-999 1)", "1e-999", 1, 6),
+        ("(1 2\n  -0.5e-400)", "-0.5e-400", 2, 3),
+        ("(?x 1e-999)", "1e-999", 1, 5),
+        ("(1 . 1e-999)", "1e-999", 1, 6),
+        ("(1 0." + "0" * 400 + "1)", "0." + "0" * 400 + "1", 1, 4),
+    ],
+    ids=["atom", "negative", "list", "second-line", "after-variable", "dotted-tail", "long"],
+)
+def test_underflowing_decimal_is_a_parse_error(text, token, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse_sexpr(text)
+    assert str(exc.value) == f"number out of range: {token} (line {line}, column {col})"
+    assert (exc.value.line, exc.value.col) == (line, col)
+
+
+@pytest.mark.parametrize("text", ["0.0", "-0.0", "0e5", ".0", "0.0e-999", "5e-324", "-5e-324", "2.2e-308"])
+def test_zero_and_subnormal_decimals_read_as_written(text):
+    t = parse_sexpr(text)
+    assert type(t) is float
+    assert repr(t) == repr(float(text))
+    assert repr(parse_sexpr(f"({text} 1)").car) == repr(t)
+
+
 def test_print_atoms():
     assert print_term(42) == "42"
     assert print_term(2.5) == "2.5"

@@ -5,6 +5,8 @@ import threading
 from hypothesis import given, settings, strategies as st
 
 from relkanren import (
+    ConsCell,
+    ExprTerm,
     LogicVar,
     Substitution,
     alpha_eq,
@@ -23,7 +25,8 @@ from relkanren import (
     walk_star,
 )
 
-from conftest import random_term, seeded, variable_pool
+from relkanren.terms import car, cdr, is_application
+from conftest import random_atom, random_term, seeded, variable_pool
 
 EMPTY = Substitution.empty()
 
@@ -242,3 +245,108 @@ def test_concurrent_reify_shares_one_display_variable_per_index():
     for i in range(n_vars):
         assert len({id(items[i]) for items in results}) == 1
         assert results[0][i] is unify_module.display_var(i)
+
+
+# --- differential: the unifier against the one that asked the car, cdr and
+# is_application helpers about every pair; both walk and check occurrences
+# with the module's own _walk2 and _occurs ----------------------------------
+
+
+def _ref_unify_delta(pairs, s, occurs_check=True):
+    delta = {}
+    stack = list(pairs)
+    while stack:
+        u, v = stack.pop()
+        u = unify_module._walk2(u, s, delta)
+        v = unify_module._walk2(v, s, delta)
+        if u is v:
+            continue
+        u_var = isinstance(u, LogicVar)
+        v_var = isinstance(v, LogicVar)
+        if u_var and v_var:
+            delta[u] = v
+            continue
+        if u_var:
+            if occurs_check and unify_module._occurs(u, v, s, delta):
+                return None
+            delta[u] = v
+            continue
+        if v_var:
+            if occurs_check and unify_module._occurs(v, u, s, delta):
+                return None
+            delta[v] = u
+            continue
+        u_app = is_application(u)
+        v_app = is_application(v)
+        if u_app and v_app:
+            if (
+                isinstance(u, ExprTerm)
+                and isinstance(v, ExprTerm)
+                and tuple.__len__(u) == tuple.__len__(v)
+            ):
+                stack.extend(zip(tuple.__iter__(u), tuple.__iter__(v)))
+                continue
+            stack.append((cdr(u), cdr(v)))
+            stack.append((car(u), car(v)))
+            continue
+        if u_app or v_app:
+            return None
+        if u is nil or v is nil:
+            return None
+        if type(u) is not type(v) or u != v:
+            return None
+    return delta
+
+
+def _open_spine(items, tail):
+    for x in reversed(items):
+        tail = cons(x, tail)
+    return tail
+
+
+def _variant(rng, t, pool):
+    """A term shaped like t, to unify with it: some subterms become shared
+    or fresh variables, some atoms another atom (2 may become 2.0), and
+    some expression terms their cons spines, longer or shorter ones, or
+    spines that end in a variable."""
+    r = rng.random()
+    if r < 0.12:
+        return rng.choice(pool) if rng.random() < 0.5 else fresh_var()
+    if isinstance(t, ExprTerm):
+        items = [_variant(rng, x, pool) for x in t]
+        r = rng.random()
+        if r < 0.15:
+            items = items[:-1] if len(items) > 1 else items + [random_atom(rng)]
+        elif r < 0.3:
+            return _open_spine(items[: rng.randrange(len(items) + 1)], rng.choice(pool))
+        return term_from_list(items) if rng.random() < 0.4 else ExprTerm(items)
+    if isinstance(t, ConsCell):
+        return cons(_variant(rng, t.car, pool), _variant(rng, t.cdr, pool))
+    if r < 0.2:
+        return random_atom(rng)
+    return t
+
+
+def test_unify_delta_matches_the_helper_based_unifier():
+    rng = seeded(1501)
+    outcomes = {"fail": 0, "empty": 0, "bound": 0}
+    for k in range(3000):
+        pool = variable_pool(3)
+        # a substitution that already binds some of the shared variables
+        s = unify(rng.choice(pool), random_term(rng, pool[1:], depth=2), EMPTY) or EMPTY
+        pairs = []
+        for _ in range(1 + k % 3):
+            u = random_term(rng, pool, depth=2 + k % 3)
+            v = _variant(rng, u, pool)
+            pairs.append((v, u) if rng.random() < 0.5 else (u, v))
+        ref = _ref_unify_delta(pairs, s)
+        got = unify_module.unify_delta(pairs, s)
+        if ref is None:
+            assert got is None, pairs
+            outcomes["fail"] += 1
+            continue
+        assert got is not None, pairs
+        assert list(got) == list(ref)  # the same variables, bound in the same order
+        assert all(term_eq(got[x], ref[x]) for x in ref)
+        outcomes["bound" if ref else "empty"] += 1
+    assert min(outcomes.values()) >= 100, outcomes
