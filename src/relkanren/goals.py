@@ -1,14 +1,14 @@
 """States, core goals, the search loop, and the run interface.
 
-A goal is a callable from a state to an iterable of states; ``eq``,
-``succeed``, ``fail`` and the constraint goals return a tuple of at most
-one state.  The combinators ``lall``, ``lany`` and ``delay`` return data
-that one loop, :func:`_search`, runs.  Conjunction threads each state
-through successive goals; a disjunction serves its branches in turn, one
-answer each, so a finitely productive branch cannot be starved by an
-infinite sibling.  The loop holds the search tree as data, so no search
-grows the interpreter stack, and charges the step budget once per
-iteration.
+A goal is a callable from a state to an iterable of states or to the
+goal to run in its place; ``eq``, ``succeed``, ``fail`` and the
+constraint goals return a tuple of at most one state.  The combinators
+``lall`` and ``lany`` return data that one loop, :func:`_search`, runs.
+Conjunction threads each state through successive goals; a disjunction
+serves its branches in turn, one answer each, so a finitely productive
+branch cannot be starved by an infinite sibling.  The loop holds the
+search tree as data, so no search grows the interpreter stack, and
+charges the step budget once per iteration.
 """
 
 from __future__ import annotations
@@ -85,8 +85,9 @@ def unify_state(state, pairs):
 
 
 class _Goal:
-    """A combinator goal: ``kind`` is "all", "any" or "delay" and ``arg``
-    its goals or thunk.  Calling it runs its own search."""
+    """A combinator goal: ``kind`` is "all" or "any" and ``arg`` its goals.
+    Calling it runs a search of its own; :func:`run` and
+    :func:`iter_solutions` are how callers get answers."""
 
     __slots__ = ("kind", "arg")
 
@@ -114,27 +115,27 @@ def conde(*clauses):
 
 
 def delay(thunk):
-    """Defer goal construction until the search reaches it.
+    """Defer goal construction until the search reaches it; the goal then
+    runs in the delay's place, which costs one step.
 
     Required for self-referential relations so that constructing a goal
     doesn't recurse forever.
     """
-    return _Goal("delay", thunk)
+    return lambda state: thunk()
 
 
 def _expand(goal, state, k):
     """One step of the pending goal ``(goal, state, k)``, where k is the
     ``(goal, k)`` chain of conjuncts still to run on its answers.  Returns
     what takes its place: a pending triple, a node, an answer state, or
-    None when the branch has failed."""
+    None when the branch has failed.  A callable that a goal returns is
+    the goal to run in its place."""
     if goal.__class__ is _Goal:
         kind, arg = goal.kind, goal.arg
         if kind == "all":
             for i in range(len(arg) - 1, 0, -1):
                 k = (arg[i], k)
             return arg[0], state, k
-        if kind == "delay":
-            return arg(), state, k
         while k is not None and k[0].__class__ is list and not k[0][0]:
             k = k[1]  # a disjunction left with one branch marks nothing
         node = [None, None, None]
@@ -146,6 +147,8 @@ def _expand(goal, state, k):
         if not out:
             return None
         return out[0] if k is None else (k[0], out[0], k[1])
+    if callable(out):
+        return out, state, k
     return [deque(), iter(out), k]
 
 

@@ -18,6 +18,7 @@ from .terms import (
     ExprTerm,
     LogicVar,
     Symbol,
+    car,
     cdr,
     cons,
     fresh_var,
@@ -42,15 +43,26 @@ def conso(a, d, pair):
     return eq(cons(to_term(a), to_term(d)), pair)
 
 
+def _pair(t, body):
+    """The goal body(car, cdr) of the pair t walks to, binding nothing; a
+    variable t is bound to a pair of fresh variables first; else fail."""
+
+    def pair_goal(state):
+        w = walk(t, state.subst)
+        if is_application(w):
+            return body(car(w), cdr(w))
+        if w.__class__ is not LogicVar:
+            return ()
+        h, tl = fresh_var(), fresh_var()
+        return lall(eq(w, cons(h, tl)), body(h, tl))
+
+    return pair_goal
+
+
 def membero(x, coll):
     """Holds iff x unifies with some element of the proper list coll."""
     x = to_term(x)
-    coll = to_term(coll)
-    head, tail = fresh_var(), fresh_var()
-    return conde(
-        [conso(x, fresh_var(), coll)],
-        [conso(head, tail, coll), delay(lambda: membero(x, tail))],
-    )
+    return _pair(to_term(coll), lambda h, t: conde([eq(h, x)], [membero(x, t)]))
 
 
 def _key(t):
@@ -162,43 +174,25 @@ def walko(rel, u, v):
         # rewrites one of its operands, here or below; equality leaves it
         return conde(
             [eq(changed, True), delay(lambda: rel(x, y))],
-            [eq(changed, True), _descend(x, y)],
+            [eq(changed, True), lambda state: _descend(x, y, state)],
             [eq(x, y)],
         )
 
-    def _descend(x, y):
-        rator, dx, dy, changed = fresh_var(), fresh_var(), fresh_var(), fresh_var()
-
-        def start(state):
-            # two fresh sides may keep every operand: their identity is not
-            # the equality disjunct's answer
-            s = state.subst
-            if is_application(walk(x, s)) or is_application(walk(y, s)):
-                return (state,)
-            return eq(changed, True)(state)
-
-        return lall(
-            start,
-            conso(rator, dx, x),
-            conso(rator, dy, y),
-            _rands(dx, dy, changed),
-        )
+    def _descend(x, y, state):
+        # two fresh sides may keep every operand, as their identity is not
+        # the equality disjunct's answer: their node counts as changed
+        known = any(is_application(walk(t, state.subst)) for t in (x, y))
+        changed, dy = fresh_var() if known else True, fresh_var()
+        return _pair(x, lambda rator, dx: lall(conso(rator, dy, y), _rands(dx, dy, changed)))
 
     def _rands(dx, dy, changed):
-        hx, tx = fresh_var(), fresh_var()
-        hy, ty = fresh_var(), fresh_var()
-
         def rewritten(state):
             return (state,) if walk(changed, state.subst) is True else ()
 
         return conde(
             [eq(dx, nil), eq(dy, nil), rewritten],
-            [
-                conso(hx, tx, dx),
-                conso(hy, ty, dy),
-                delay(lambda: step(hx, hy, changed)),
-                delay(lambda: _rands(tx, ty, changed)),
-            ],
+            [_pair(dx, lambda hx, tx: _pair(dy, lambda hy, ty: lall(
+                step(hx, hy, changed), _rands(tx, ty, changed))))],
         )
 
     return step(to_term(u), to_term(v), fresh_var())
@@ -297,7 +291,7 @@ def eq_comm(u, v, reg: OperatorRegistry):
             ru = walk_star(cdr(uw), s)
             rv = walk_star(cdr(vw), s)
             if spine_elements(ru) is not None and spine_elements(rv) is not None:
-                return permuteo(ru, rv)(state)
-        return eq(u, v)(state)
+                return permuteo(ru, rv)
+        return eq(u, v)
 
     return eq_comm_goal

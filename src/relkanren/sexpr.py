@@ -164,7 +164,10 @@ class _Reader:
                 return fresh_var()
             term = fresh_var(name)
         elif _INT_RE.match(tok):
-            term = int(tok)
+            try:
+                term = int(tok)
+            except ValueError:  # past the interpreter's digit limit
+                raise self.error(f"integer literal too long: {len(tok)} characters", at) from None
         elif (m := _FLOAT_RE.match(tok)) and any(ch in tok for ch in ".eE"):
             term = float(tok)
             # out of range: too large, or read as zero from a nonzero mantissa

@@ -246,3 +246,57 @@ def test_disjunction_passes_its_turn_before_a_later_conjunct_runs():
     assert run(1, x, lall(lany(nats(x), eq(x, -1)), eq(x, -1))) == (-1,)
     wide = lany(nats(x), nats(x, 5), eq(x, -1), nats(x, 9))
     assert run(1, x, lall(wide, eq(x, -1))) == (-1,)
+
+
+@pytest.mark.parametrize(
+    "returned, want",
+    [
+        (lambda x: eq(x, 1), (1,)),
+        (lambda x: lany(eq(x, 1), eq(x, 2)), (1, 2)),
+        (lambda x: lambda state: eq(x, 2), (2,)),
+    ],
+    ids=["eq", "lany", "function-goal"],
+)
+def test_a_goal_may_return_the_goal_to_run(returned, want):
+    x = fresh_var()
+
+    def goal(state):
+        return returned(x)
+
+    assert run(0, x, goal) == want
+    assert run(0, x, lall(goal, succeed)) == want
+    assert run(0, x, lany(fail, goal)) == want
+
+
+CHAIN = 100_000
+
+
+def chain(x, n):
+    """n goals, each returning the next; the last returns eq(x, n)."""
+    def link(i):
+        return lambda state: eq(x, n) if i == n else link(i + 1)
+
+    return link(1)
+
+
+def test_a_chain_of_returned_goals_costs_one_step_a_link():
+    x = fresh_var()
+    # one step for run's conjunction, one per link, one for eq, one to
+    # hand the answer over
+    budget = CHAIN + 3
+    with shallow_stack():
+        assert run(0, x, chain(x, CHAIN)) == (CHAIN,)
+        assert run_bounded(1, budget, x, chain(x, CHAIN)) == ((CHAIN,), False)
+        assert run_bounded(1, budget - 1, x, chain(x, CHAIN)) == ((), True)
+    assert run_bounded(1, 5, x, chain(x, 2)) == ((2,), False)
+    assert run_bounded(1, 4, x, chain(x, 2)) == ((), True)
+
+
+def test_a_goal_that_returns_itself_is_stopped_by_the_budget():
+    def loop(state):
+        return loop
+
+    x = fresh_var()
+    with shallow_stack(), pytest.raises(StepBudgetExceeded):
+        with step_budget(1000):
+            run(1, x, loop)

@@ -231,7 +231,10 @@ class _RefReader:
                 self.vars[name] = v
             return v
         if _INT_RE.match(tok):
-            return int(tok)
+            try:
+                return int(tok)
+            except ValueError:  # past the interpreter's digit limit
+                raise self.error(f"integer literal too long: {len(tok)} characters", start) from None
         if _FLOAT_RE.match(tok) and any(ch in tok for ch in ".eE"):
             return float(tok)
         return Symbol(tok)

@@ -71,6 +71,31 @@ def test_membero_duplicates_give_multiple_proofs():
     assert len(run(0, q, lall(membero(1, (1, 1)), eq(q, "yes")))) == 2
 
 
+def test_membero_over_a_known_list_binds_only_its_element():
+    x = fresh_var()
+    states = []
+
+    def capture(state):
+        states.append(state)
+        return (state,)
+
+    assert run(0, x, lall(membero(x, tuple(range(50))), capture)) == tuple(range(50))
+    assert [len(st.subst) for st in states] == [1] * 50
+
+
+def test_membero_reads_a_list_bound_earlier():
+    x, q = fresh_var(), fresh_var()
+    assert run(0, x, lall(eq(q, (1, 2, 3)), membero(x, q))) == (1, 2, 3)
+
+
+def test_membero_over_an_open_list_places_the_element_at_each_position():
+    q = fresh_var()
+    answers = run(3, q, membero(7, q))
+    assert [print_term(a) for a in answers] == [
+        "(7 . ?_0)", "(?_0 7 . ?_1)", "(?_0 ?_1 7 . ?_2)",
+    ]
+
+
 def test_permuteo_enumerates_all_permutations():
     q = fresh_var()
     answers = run(0, q, permuteo((1, 2, 3), q))

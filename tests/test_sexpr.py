@@ -156,6 +156,31 @@ def test_underflowing_decimal_is_a_parse_error(text, token, line, col):
     assert (exc.value.line, exc.value.col) == (line, col)
 
 
+@pytest.mark.parametrize(
+    "text, length, line, col",
+    [
+        ("9" * 5000, 5000, 1, 1),
+        ("-" + "9" * 5000, 5001, 1, 1),
+        ("(add " + "9" * 5000 + " 1)", 5000, 1, 6),
+        ("(1 2\n  +" + "1" * 4400 + ")", 4401, 2, 3),
+        ("(1 . " + "7" * 5000 + ")", 5000, 1, 6),
+    ],
+    ids=["atom", "negative", "list", "second-line", "dotted-tail"],
+)
+def test_integer_past_the_digit_limit_is_a_parse_error(text, length, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse_sexpr(text)
+    # the message gives the literal's length, not the literal
+    assert str(exc.value) == f"integer literal too long: {length} characters (line {line}, column {col})"
+    assert (exc.value.line, exc.value.col) == (line, col)
+
+
+def test_integer_at_the_digit_limit_reads_as_written():
+    digits = "8" * 4300
+    assert parse_sexpr(digits) == int(digits)
+    assert parse_sexpr(f"(-{digits} 1)").car == -int(digits)
+
+
 @pytest.mark.parametrize("text", ["0.0", "-0.0", "0e5", ".0", "0.0e-999", "5e-324", "-5e-324", "2.2e-308"])
 def test_zero_and_subnormal_decimals_read_as_written(text):
     t = parse_sexpr(text)
