@@ -31,7 +31,6 @@ from .exprs import (
     make_expr,
 )
 from .unify import (
-    Substitution,
     alpha_eq,
     occurs,
     reify,

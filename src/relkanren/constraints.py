@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .terms import ConsCell, ExprTerm, Symbol, nil, to_term
-from .unify import Substitution, _rebuild, unify_delta
+from .unify import _rebuild, unify_delta
 
 
 class UnknownPredicateError(KeyError):
@@ -65,7 +65,7 @@ def predicate_names():
     return tuple(_PREDICATES)
 
 
-def _constraint(name, term, s: Substitution):
+def _constraint(name, term, s: dict):
     """The constraint ``(name, term, watched)`` under s: a predicate's
     target is replaced by its walk_star, and watched holds the distinct
     variables left unbound in walk_star of the term.  Only a ground
@@ -96,7 +96,7 @@ def _with_constraint(state, constraint):
     return (state.__class__(state.subst, index),)
 
 
-def revalidate(index: dict, s: Substitution, delta: dict):
+def revalidate(index: dict, s: dict, delta: dict):
     """Recheck the constraints on the variables that delta newly bound in s.
 
     Returns the index of the constraints that still wait on unbound

@@ -16,11 +16,11 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .constraints import revalidate
 from .terms import to_term
-from .unify import EMPTY_SUBST, Substitution, reify, unify_delta
+from .unify import reify, unify_delta
 
 
 class _AllMarker:
@@ -40,14 +40,16 @@ class StepBudgetExceeded(RuntimeError):
 _budget: ContextVar = ContextVar("relkanren_step_budget", default=None)
 
 
-@dataclass(frozen=True)
-class State:
-    """One node of the relational search: a substitution plus the
-    constraint index of :mod:`relkanren.constraints`, a dict from each
-    unbound variable to the constraints watching it, never mutated."""
+class State(NamedTuple):
+    """One node of the relational search: a substitution (see
+    :mod:`relkanren.unify`) plus the constraint index of
+    :mod:`relkanren.constraints`, a dict from each unbound variable to the
+    constraints watching it.  Neither dict is ever changed after it is
+    built, so states may share them and every state the search holds
+    stays as it was."""
 
-    subst: Substitution = EMPTY_SUBST
-    constraints: dict = field(default_factory=dict)
+    subst: dict = {}
+    constraints: dict = {}
 
 
 def succeed(state):
@@ -79,7 +81,7 @@ def unify_state(state, pairs):
         return None
     if not delta:
         return state
-    s = state.subst.extend(delta)
+    s = state.subst | delta
     index = revalidate(state.constraints, s, delta)
     return None if index is None else State(s, index)
 
@@ -220,11 +222,11 @@ def _solutions(query, goals):
 
 def _limit(n):
     """The islice stop for an answer count: None for ALL or 0."""
-    if n is ALL or n == 0:
+    if n is ALL:
         return None
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:  # a bool is no count
         raise ValueError(f"answer count must be ALL or an integer >= 0, got {n!r}")
-    return n
+    return n or None
 
 
 def run(n, query, *goals):
@@ -248,10 +250,13 @@ class step_budget:
     """Context manager imposing a step budget on searches pulled within it.
 
     A search raises :class:`StepBudgetExceeded` once ``budget`` steps (search
-    loop iterations) have been spent.  A budget of 0 or None means unlimited.
+    loop iterations) have been spent.  A budget of 0 or None means unlimited;
+    any other budget than an integer >= 0 raises ValueError.
     """
 
     def __init__(self, budget):
+        if budget is not None and (type(budget) is not int or budget < 0):
+            raise ValueError(f"step budget must be None or an integer >= 0, got {budget!r}")
         self.budget = budget
         self._token = None
 

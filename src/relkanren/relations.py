@@ -30,7 +30,7 @@ from .terms import (
     to_term,
 )
 from .goals import conde, delay, eq, lall, unify_state
-from .unify import EMPTY_SUBST, _rebuild, walk, walk_star
+from .unify import _rebuild, walk, walk_star
 
 
 class GroundednessError(Exception):
@@ -235,7 +235,7 @@ def _apply(r: Rule, u, v, state):
             t = fresh[x] = fresh_var(x.hint)
         return t
 
-    lhs, rhs = _rebuild(r.lhs, EMPTY_SUBST, twin), _rebuild(r.rhs, EMPTY_SUBST, twin)
+    lhs, rhs = _rebuild(r.lhs, {}, twin), _rebuild(r.rhs, {}, twin)
     for x, pred in r.guards:  # on a fresh variable, so it waits: one state
         (state,) = type_constraint(twin(x), pred)(state)
     return unify_state(state, [(v, rhs), (u, lhs)])  # u unifies first
@@ -251,7 +251,7 @@ def compile_rules(*records: Rule) -> Callable:
     order are those of the records' disjunction, and a call that admits no
     record makes no variable and no term.
     """
-    index = [(_head(r.lhs, EMPTY_SUBST), _head(r.rhs, EMPTY_SUBST), r) for r in records]
+    index = [(_head(r.lhs, {}), _head(r.rhs, {}), r) for r in records]
 
     def rule(u, v):
         u, v = to_term(u), to_term(v)

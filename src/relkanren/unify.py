@@ -1,8 +1,11 @@
 """Triangular substitutions, walking, unification, and reification.
 
-Substitutions are persistent: extension returns a new value.  Every deep
-operation (walk_star, unify, occurs, reify) uses explicit work stacks so
-that structures hundreds of thousands of cells deep do not exhaust the
+A substitution is a plain dict from LogicVar to Term, never changed after
+it is built: :func:`unify` returns a new dict, ``s | delta``.  It is
+triangular: a bound value may hold bound variables, which :func:`walk`
+resolves, and the occurs check keeps it acyclic.  Every deep operation
+(walk_star, unify, occurs, reify) uses explicit work stacks so that
+structures hundreds of thousands of cells deep do not exhaust the
 interpreter stack.
 
 A variable is its object (see :class:`relkanren.terms.LogicVar`): it
@@ -21,63 +24,31 @@ from __future__ import annotations
 from .terms import Compound, ConsCell, ExprTerm, LogicVar, term_from_list
 
 
-class Substitution:
-    """A persistent LogicVar -> Term mapping.
-
-    Triangular: bound values may themselves contain bound variables; use
-    :func:`walk` to resolve chains.  Acyclicity is maintained by the occurs
-    check in :func:`unify`.
-    """
-
-    __slots__ = ("_m",)
-
-    def __init__(self, mapping=None):
-        self._m = {} if mapping is None else mapping
-
-    @classmethod
-    def empty(cls) -> "Substitution":
-        return cls()
-
-    def extend(self, delta: dict) -> "Substitution":
-        m = dict(self._m)
-        m.update(delta)
-        return Substitution(m)
-
-    def __len__(self) -> int:
-        return len(self._m)
-
-    def __repr__(self):
-        return f"Substitution({self._m!r})"
-
-
-EMPTY_SUBST = Substitution.empty()
-
-
-def walk(t, s: Substitution):
+def walk(t, s: dict):
     """Resolve a variable through the substitution's binding chain.
 
     Shallow: never descends into cons or expression structure.
     """
     while isinstance(t, LogicVar):
-        nxt = s._m.get(t)
+        nxt = s.get(t)
         if nxt is None:
             return t
         t = nxt
     return t
 
 
-def _walk2(t, s: Substitution, delta: dict):
+def _walk2(t, s: dict, delta: dict):
     while isinstance(t, LogicVar):
         nxt = delta.get(t)
         if nxt is None:
-            nxt = s._m.get(t)
+            nxt = s.get(t)
             if nxt is None:
                 return t
         t = nxt
     return t
 
 
-def occurs(v: LogicVar, t, s: Substitution) -> bool:
+def occurs(v: LogicVar, t, s: dict) -> bool:
     """True iff v appears anywhere in walk_star(t, s)."""
     return _occurs(v, t, s, {})
 
@@ -99,7 +70,7 @@ def _occurs(v, t, s, delta) -> bool:
     return False
 
 
-def unify_delta(pairs, s: Substitution, occurs_check: bool = True):
+def unify_delta(pairs, s: dict):
     """Unify a sequence of term pairs against s, returning only the new
     bindings as a dict, or None on failure."""
     delta: dict = {}
@@ -111,11 +82,11 @@ def unify_delta(pairs, s: Substitution, occurs_check: bool = True):
         if u is v:
             continue
         if isinstance(u, LogicVar):
-            if occurs_check and _occurs(u, v, s, delta):
+            if _occurs(u, v, s, delta):
                 return None
             delta[u] = v
         elif isinstance(v, LogicVar):
-            if occurs_check and _occurs(v, u, s, delta):
+            if _occurs(v, u, s, delta):
                 return None
             delta[v] = u
         elif not (isinstance(u, Compound) and isinstance(v, Compound)):
@@ -136,26 +107,25 @@ def unify_delta(pairs, s: Substitution, occurs_check: bool = True):
 def term_eq(a, b) -> bool:
     """Structural equality, strict on atom variants: equal terms unify and
     bind nothing.  An expression term equals its cons spine."""
-    return unify_delta([(a, b)], EMPTY_SUBST, occurs_check=False) == {}
+    return unify_delta([(a, b)], {}) == {}
 
 
-def unify(u, v, s: Substitution, occurs_check: bool = True):
+def unify(u, v, s: dict):
     """First-order unification.
 
     Returns the minimal extension of s making u and v structurally equal
-    under walk_star, or None on clash or occurs violation.  Cons cells
-    unify componentwise; expression terms unify as (operator . operands)
-    spines; atoms unify by strict variant equality.
+    under walk_star (s itself when nothing binds), or None on clash or
+    occurs violation.  Cons cells unify componentwise; expression terms
+    unify as (operator . operands) spines; atoms unify by strict variant
+    equality.
     """
-    delta = unify_delta([(u, v)], s, occurs_check=occurs_check)
+    delta = unify_delta([(u, v)], s)
     if delta is None:
         return None
-    if not delta:
-        return s
-    return s.extend(delta)
+    return s | delta if delta else s
 
 
-def _rebuild(t, s: Substitution, on_var):
+def _rebuild(t, s: dict, on_var):
     """Copy t with every variable walked through s, handing each variable
     left unbound to on_var and using its result in the variable's place.
 
@@ -164,7 +134,7 @@ def _rebuild(t, s: Substitution, on_var):
     parts all come back unchanged is kept as is, which also keeps its
     memoized hash.
     """
-    get = s._m.get
+    get = s.get
     # One frame per compound node being copied: its parts go left to right
     # onto `out`, the node's own from `base` on; `changed` is set once one
     # of them comes back as another object.
@@ -205,7 +175,7 @@ def _unchanged(v):
     return v
 
 
-def walk_star(t, s: Substitution):
+def walk_star(t, s: dict):
     """Deep walk: resolve variables recursively through cons cells and
     expression-term items, rebuilding structure as needed."""
     return _rebuild(t, s, _unchanged)
@@ -228,7 +198,7 @@ def display_var(index: int) -> LogicVar:
     return dv
 
 
-def reify(t, s: Substitution):
+def reify(t, s: dict):
     """walk_star(t, s) with remaining unbound variables replaced by stable
     display variables, numbered in left-to-right encounter order;
     idempotent."""
@@ -249,12 +219,10 @@ def alpha_eq(a, b) -> bool:
     Reification renames variables in encounter order, so two terms are
     renamings of each other exactly when their reifications are equal.
     """
-    return term_eq(reify(a, EMPTY_SUBST), reify(b, EMPTY_SUBST))
+    return term_eq(reify(a, {}), reify(b, {}))
 
 
 __all__ = [
-    "Substitution",
-    "EMPTY_SUBST",
     "walk",
     "walk_star",
     "unify",

@@ -26,7 +26,6 @@ from relkanren import (
     unify,
     walk_star,
 )
-from relkanren.unify import EMPTY_SUBST
 
 # an independent statement of each builtin predicate on atoms
 HOLDS_ON_ATOMS = {
@@ -216,7 +215,7 @@ def _goal(step):
 
 def _oracle(query, program):
     """Run only the eqs, then check every constraint on the final terms."""
-    s = EMPTY_SUBST
+    s = {}
     for what, a, b in program:
         if what == "eq":
             s = unify(a, b, s)

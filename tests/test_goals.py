@@ -17,6 +17,7 @@ from relkanren import (
     list_from_term,
     make_expr,
     membero,
+    neq,
     reduceo,
     run,
     run_bounded,
@@ -24,8 +25,11 @@ from relkanren import (
     succeed,
     term_eq,
     term_from_list,
+    type_constraint,
 )
 from relkanren.rules import ADD, EXP, LOG, MUL, math_reduce_rule
+
+from conftest import seeded, variable_pool
 
 
 def nats(x, n=0):
@@ -136,13 +140,22 @@ def test_run_bounded_reports_exhaustion():
     assert answers == (0, 1, 2)
 
 
-@pytest.mark.parametrize("n", [-1, -5, 1.5])
+@pytest.mark.parametrize("n", [-1, -5, 1.5, True, False])
 def test_run_rejects_an_invalid_answer_count(n):
     x = fresh_var()
     with pytest.raises(ValueError, match=f"got {n}"):
         run(n, x, eq(x, 1))
     with pytest.raises(ValueError, match=f"got {n}"):
         run_bounded(n, 10, x, eq(x, 1))
+
+
+@pytest.mark.parametrize("budget", [-1, 1.5, "5", True])
+def test_an_invalid_step_budget_is_rejected_before_the_search(budget):
+    x = fresh_var()
+    with pytest.raises(ValueError, match=f"step budget must be None or an integer >= 0, got {budget!r}"):
+        step_budget(budget)
+    with pytest.raises(ValueError, match="step budget"):
+        run_bounded(0, budget, x, membero(x, (1, 2, 3)))
 
 
 def test_budget_monotonic_prefix():
@@ -300,3 +313,37 @@ def test_a_goal_that_returns_itself_is_stopped_by_the_budget():
     with shallow_stack(), pytest.raises(StepBudgetExceeded):
         with step_budget(1000):
             run(1, x, loop)
+
+
+def test_no_state_is_changed_after_it_is_built():
+    """Branches share the states they grew from, so a goal that changed a
+    state's substitution or constraint index in place would change what
+    its siblings see; a spy keeps copies of both dicts of every state it
+    meets, and once the search is done each state must still equal them."""
+    rng = seeded(1701)
+    kept = []
+
+    def spy(state):
+        kept.append((state, dict(state.subst), dict(state.constraints)))
+        return (state,)
+
+    answers = 0
+    for _ in range(30):
+        xs = variable_pool(3)
+        goals = []
+        for _ in range(6):
+            x, y = rng.sample(xs, 2)
+            kind = rng.randrange(4)
+            if kind == 0:
+                goals.append(eq(x, rng.choice([y, 1, 2])))
+            elif kind == 1:
+                goals.append(neq(x, rng.choice([y, 1, 2])))
+            elif kind == 2:
+                goals.append(type_constraint(x, rng.choice(["integer", "number"])))
+            else:
+                goals.append(membero(x, (1, 2, 2.5, y)))
+            goals.append(spy)
+        answers += len(run(0, term_from_list(xs), *goals))
+    assert answers > 30 and len(kept) > 500
+    for state, subst, constraints in kept:
+        assert state.subst == subst and state.constraints == constraints

@@ -6,7 +6,6 @@ from relkanren import (
     ExprTerm,
     ImproperListError,
     LogicVar,
-    Substitution,
     Symbol,
     builtin_registry,
     car,
@@ -190,10 +189,10 @@ def _random_text(rng, depth=3):
 
 def _partial_subst(rng, variables):
     """Bind some variables, each only to terms over later ones (acyclic)."""
-    s = Substitution.empty()
+    s = {}
     for i, v in enumerate(variables):
         if rng.random() < 0.5:
-            s = s.extend({v: random_term(rng, variables[i + 1 :], depth=2)})
+            s = s | {v: random_term(rng, variables[i + 1 :], depth=2)}
     return s
 
 

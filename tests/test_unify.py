@@ -8,7 +8,6 @@ from relkanren import (
     ConsCell,
     ExprTerm,
     LogicVar,
-    Substitution,
     alpha_eq,
     cons,
     fresh_var,
@@ -28,42 +27,40 @@ from relkanren import (
 from relkanren.terms import car, cdr, is_application
 from conftest import random_atom, random_term, seeded, variable_pool
 
-EMPTY = Substitution.empty()
-
 # the package exports the function unify, which hides the module of that name
 unify_module = importlib.import_module("relkanren.unify")
 
 
 def test_walk_follows_chains():
     a, b = fresh_var(), fresh_var()
-    s = EMPTY.extend({a: b}).extend({b: 7})
+    s = {a: b} | {b: 7}
     assert walk(a, s) == 7
     assert walk(5, s) == 5
 
 
 def test_unify_atoms():
-    assert unify(1, 1, EMPTY) is not None
-    assert unify(1, 2, EMPTY) is None
-    assert unify(2, 2.0, EMPTY) is None
-    assert unify("a", "a", EMPTY) is not None
+    assert unify(1, 1, {}) is not None
+    assert unify(1, 2, {}) is None
+    assert unify(2, 2.0, {}) is None
+    assert unify("a", "a", {}) is not None
 
 
 def test_unify_var_binding():
     v = fresh_var()
-    s = unify(v, 42, EMPTY)
+    s = unify(v, 42, {})
     assert walk(v, s) == 42
 
 
 def test_unify_lists_elementwise():
     a, b = fresh_var(), fresh_var()
-    s = unify(term_from_list([a, 2, b]), term_from_list([1, 2, 3]), EMPTY)
+    s = unify(term_from_list([a, 2, b]), term_from_list([1, 2, 3]), {})
     assert walk(a, s) == 1
     assert walk(b, s) == 3
 
 
 def test_unify_decomposes_pairs():
     head, tail = fresh_var(), fresh_var()
-    s = unify(term_from_list([1, 2]), cons(head, tail), EMPTY)
+    s = unify(term_from_list([1, 2]), cons(head, tail), {})
     assert walk(head, s) == 1
     assert term_eq(walk_star(tail, s), term_from_list([2]))
 
@@ -72,38 +69,32 @@ def test_unify_expr_against_spine():
     a = fresh_var()
     e = make_expr(Symbol("add"), 1, a)
     spine = term_from_list([Symbol("add"), 1, 2])
-    s = unify(e, spine, EMPTY)
+    s = unify(e, spine, {})
     assert walk(a, s) == 2
 
 
 def test_occurs_check_blocks_cycles():
     v = fresh_var()
-    assert unify(v, cons(1, v), EMPTY) is None
-    assert occurs(v, cons(1, cons(2, v)), EMPTY)
-
-
-def test_occurs_check_optional():
-    v = fresh_var()
-    s = unify(v, cons(1, v), EMPTY, occurs_check=False)
-    assert s is not None
+    assert unify(v, cons(1, v), {}) is None
+    assert occurs(v, cons(1, cons(2, v)), {})
 
 
 def test_walk_star_resolves_nested():
     a, b = fresh_var(), fresh_var()
-    s = unify(a, term_from_list([1, b]), EMPTY)
+    s = unify(a, term_from_list([1, b]), {})
     s = unify(b, 2, s)
     assert term_eq(walk_star(a, s), term_from_list([1, 2]))
 
 
 def test_walk_star_preserves_fully_walked_identity():
     t = term_from_list([1, 2, 3])
-    assert walk_star(t, EMPTY) is t
+    assert walk_star(t, {}) is t
 
 
 def test_reify_numbers_fresh_vars():
     a, b = fresh_var(), fresh_var()
-    r1 = reify(term_from_list([a, b, a]), EMPTY)
-    r2 = reify(term_from_list([a, b, a]), EMPTY)
+    r1 = reify(term_from_list([a, b, a]), {})
+    r2 = reify(term_from_list([a, b, a]), {})
     assert term_eq(r1, r2)
     items = []
     t = r1
@@ -116,18 +107,18 @@ def test_reify_numbers_fresh_vars():
 
 def test_reify_names_unbound_vars_in_encounter_order():
     a, b, c = fresh_var(), fresh_var(), fresh_var()
-    s = unify(c, make_expr(Symbol("add"), b, 1), EMPTY)
+    s = unify(c, make_expr(Symbol("add"), b, 1), {})
     out = reify(term_from_list([c, a, b]), s)
     expr, first, second = out.car, out.cdr.car, out.cdr.cdr.car
     assert expr[1] is second
     assert first is not second
     assert (second.hint, first.hint) == ("_0", "_1")
-    assert term_eq(reify(out, EMPTY), out)
+    assert term_eq(reify(out, {}), out)
 
 
 def test_reify_with_bound_tail():
     cdr_var = fresh_var()
-    s = unify(cdr_var, term_from_list([2, 3]), EMPTY)
+    s = unify(cdr_var, term_from_list([2, 3]), {})
     out = reify(cons(1, cdr_var), s)
     assert term_eq(out, term_from_list([1, 2, 3]))
 
@@ -145,8 +136,8 @@ def test_unify_random_symmetry_and_soundness():
         pool = variable_pool(4)
         u = random_term(rng, pool)
         v = random_term(rng, pool)
-        s1 = unify(u, v, EMPTY)
-        s2 = unify(v, u, EMPTY)
+        s1 = unify(u, v, {})
+        s2 = unify(v, u, {})
         assert (s1 is None) == (s2 is None)
         if s1 is not None:
             assert term_eq(walk_star(u, s1), walk_star(v, s1))
@@ -155,7 +146,7 @@ def test_unify_random_symmetry_and_soundness():
 
 @given(st.integers(min_value=-1000, max_value=1000), st.integers(min_value=-1000, max_value=1000))
 def test_unify_integers_iff_equal(x, y):
-    assert (unify(x, y, EMPTY) is not None) == (x == y)
+    assert (unify(x, y, {}) is not None) == (x == y)
 
 
 @settings(max_examples=200)
@@ -163,13 +154,13 @@ def test_unify_integers_iff_equal(x, y):
 def test_unify_list_with_fresh_var_binds_whole(items):
     v = fresh_var()
     t = term_from_list(items)
-    s = unify(v, t, EMPTY)
+    s = unify(v, t, {})
     assert term_eq(walk_star(v, s), t)
 
 
 def test_occurs_check_sees_through_a_binding_chain():
     x, y = fresh_var(), fresh_var()
-    s = unify(y, cons(1, x), EMPTY)
+    s = unify(y, cons(1, x), {})
     assert s is not None
     assert unify(x, cons(2, y), s) is None
     assert unify(cons(2, y), x, s) is None
@@ -177,10 +168,10 @@ def test_occurs_check_sees_through_a_binding_chain():
 
 def test_occurs_check_sees_into_an_open_expression_term():
     x = fresh_var()
-    assert unify(x, make_expr(Symbol("add"), 1, x), EMPTY) is None
-    assert unify(make_expr(Symbol("add"), 1, x), x, EMPTY) is None
+    assert unify(x, make_expr(Symbol("add"), 1, x), {}) is None
+    assert unify(make_expr(Symbol("add"), 1, x), x, {}) is None
     y = fresh_var()
-    s = unify(y, make_expr(Symbol("add"), x, 2), EMPTY)
+    s = unify(y, make_expr(Symbol("add"), x, 2), {})
     assert unify(x, make_expr(Symbol("log"), y), s) is None
 
 
@@ -196,26 +187,24 @@ def test_occurs_check_skips_a_ground_value(monkeypatch):
 
     monkeypatch.setattr(unify_module, "_walk2", counting_walk2)
     x = fresh_var()
-    assert unify(x, big, EMPTY, occurs_check=False) is not None
-    without_check = calls
-    calls = 0
-    s = unify(x, big, EMPTY)
+    s = unify(x, big, {})
     assert s is not None and walk(x, s) is big
-    # the calls made inside the occurs check: one walk of the value itself
-    assert 1 <= calls - without_check <= 2
+    # one walk of each side, then one of the value inside the occurs check,
+    # which stops there: a walk of the value's cells would make 10^5 more
+    assert calls <= 3
 
 
 def test_a_variable_equals_only_itself():
     a, b = LogicVar(5), LogicVar(5)
     assert a == a and a != b
     assert not term_eq(a, b)
-    assert walk(a, unify(a, b, EMPTY)) is b
+    assert walk(a, unify(a, b, {})) is b
 
 
 def test_reify_twice_shares_the_display_variables():
     a, b = fresh_var(), fresh_var()
     t = cons(make_expr(Symbol("add"), a, b), term_from_list([b, a]))
-    r1, r2 = reify(t, EMPTY), reify(t, EMPTY)
+    r1, r2 = reify(t, {}), reify(t, {})
     assert r1.car[1] is r2.car[1] is unify_module.display_var(0)
     assert r1.car[2] is r2.car[2] is unify_module.display_var(1)
     assert alpha_eq(r1, r2) and alpha_eq(r1, t)
@@ -229,7 +218,7 @@ def test_concurrent_reify_shares_one_display_variable_per_index():
     def work(k):
         t = term_from_list([fresh_var() for _ in range(n_vars)])
         start.wait(timeout=10)
-        results[k] = list_from_term(reify(t, EMPTY))
+        results[k] = list_from_term(reify(t, {}))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -333,7 +322,7 @@ def test_unify_delta_matches_the_helper_based_unifier():
     for k in range(3000):
         pool = variable_pool(3)
         # a substitution that already binds some of the shared variables
-        s = unify(rng.choice(pool), random_term(rng, pool[1:], depth=2), EMPTY) or EMPTY
+        s = unify(rng.choice(pool), random_term(rng, pool[1:], depth=2), {}) or {}
         pairs = []
         for _ in range(1 + k % 3):
             u = random_term(rng, pool, depth=2 + k % 3)
