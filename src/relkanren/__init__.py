@@ -43,7 +43,6 @@ from .constraints import (
     UnknownPredicateError,
     neq,
     predicate_names,
-    register_predicate,
     revalidate,
     type_constraint,
 )

@@ -1,88 +1,66 @@
-"""Disequality and predicate constraints attached to states.
+"""Disequality and type constraints attached to states.
 
 A state's constraints are one immutable index, a dict never mutated once
 built, from each unbound variable to the constraints that watch it.  A
 constraint is a triple ``(name, term, watched)``: a disequality has name
 None and as term its minimal binding-set, a tuple of ``(variable, term)``
 pairs that must never all hold at once; a type constraint has the
-predicate name and as term its target, waiting until it is ground.
+predicate name and as term its target's root, a variable.  A predicate is
+the set of exact root types it admits (as ``unify_delta`` keeps atoms of
+distinct types apart), so a target is decided by its root's exact type as
+soon as that root is not a variable.
 
-The invariant: a live constraint is registered under exactly the
-variables left unbound in ``walk_star`` of its term (a binding-set's
-variables and values alike), its ``watched`` tuple, and nothing else is.
-A binding of a variable outside the index therefore cannot change any
-constraint's outcome, so after a unification :func:`revalidate` rechecks
-only the constraints on the variables it bound (the design of cKanren's
-attributed variables).
+The invariant: a live constraint is registered under exactly its
+``watched`` variables, and nothing else is: for a disequality the
+variables left unbound in ``walk_star`` of its binding-set (variables and
+values alike), for a type constraint its root variable.  A binding of a
+variable outside the index therefore cannot change any constraint's
+outcome, so after a unification :func:`revalidate` rechecks only the
+constraints on the variables it bound (the design of cKanren's attributed
+variables).
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
-from .terms import ConsCell, ExprTerm, Symbol, nil, to_term
-from .unify import _rebuild, unify_delta
+from .terms import ConsCell, ExprTerm, LogicVar, Symbol, nil, to_term
+from .unify import _rebuild, unify_delta, walk
 
 
 class UnknownPredicateError(KeyError):
-    """A type constraint referenced a predicate name that is not registered."""
+    """A type constraint referenced a predicate name that is not defined."""
 
 
-def _is_int(t):
-    return isinstance(t, int) and not isinstance(t, bool)
-
-
-def _is_number(t):
-    return isinstance(t, (int, float)) and not isinstance(t, bool)
-
-
-def _is_expr(t):
-    return isinstance(t, ExprTerm)
-
-
-_PREDICATES: dict[str, Callable] = {
-    "integer": _is_int,
-    "decimal": lambda t: isinstance(t, float),
-    "number": _is_number,
-    "symbol": lambda t: isinstance(t, Symbol),
-    "string": lambda t: isinstance(t, str),
-    "boolean": lambda t: isinstance(t, bool),
-    "cons": lambda t: isinstance(t, ConsCell),
-    "nil": lambda t: t is nil,
-    "expr": _is_expr,
-    "number-or-expr": lambda t: _is_number(t) or _is_expr(t),
+_PREDICATES: dict[str, frozenset] = {
+    "integer": frozenset({int}),
+    "decimal": frozenset({float}),
+    "number": frozenset({int, float}),
+    "symbol": frozenset({Symbol}),
+    "string": frozenset({str}),
+    "boolean": frozenset({bool}),
+    "cons": frozenset({ConsCell}),
+    "nil": frozenset({type(nil)}),
+    "expr": frozenset({ExprTerm}),
+    "number-or-expr": frozenset({int, float, ExprTerm}),
 }
-
-
-def register_predicate(name: str, fn: Callable) -> None:
-    """Add a named ground-term predicate to the vocabulary."""
-    if name in _PREDICATES:
-        raise ValueError(f"predicate already registered: {name}")
-    _PREDICATES[name] = fn
 
 
 def predicate_names():
     return tuple(_PREDICATES)
 
 
-def _constraint(name, term, s: dict):
-    """The constraint ``(name, term, watched)`` under s: a predicate's
-    target is replaced by its walk_star, and watched holds the distinct
-    variables left unbound in walk_star of the term.  Only a ground
-    target watches nothing."""
+def _diseq(bset, s: dict):
+    """The disequality on binding-set bset under s, watching the distinct
+    variables left unbound in walk_star of its variables and values."""
     seen = {}
 
     def note(v):
         seen[v] = None
         return v
 
-    if name is None:
-        for pair in term:
-            for t in pair:
-                _rebuild(t, s, note)
-    else:
-        term = _rebuild(term, s, note)
-    return name, term, tuple(seen)
+    for pair in bset:
+        for t in pair:
+            _rebuild(t, s, note)
+    return None, bset, tuple(seen)
 
 
 def _register(index: dict, constraint) -> None:
@@ -103,9 +81,9 @@ def revalidate(index: dict, s: dict, delta: dict):
     variables (the same object when delta touches none), or None when
     one is violated.  A binding-set that can no longer all hold is
     dropped; one whose bindings all hold violates its disequality.  A
-    predicate whose target has become ground is checked and discharged.
-    Every other rechecked constraint is registered anew under the
-    variables it now watches.
+    type constraint is decided by its new root's exact type unless that
+    root is a variable.  Every other rechecked constraint is registered
+    anew under the variables it now watches.
     """
     if not index:
         return index
@@ -129,12 +107,13 @@ def revalidate(index: dict, s: dict, delta: dict):
                 continue
             if not bset:
                 return None
-            term = tuple(bset.items())
-        c = _constraint(name, term, s)
-        if c[2]:
-            _register(index, c)
-        elif not _PREDICATES[name](c[1]):
-            return None
+            _register(index, _diseq(tuple(bset.items()), s))
+        else:
+            root = walk(term, s)
+            if type(root) is LogicVar:
+                _register(index, (name, root, (root,)))
+            elif type(root) not in _PREDICATES[name]:
+                return None
     return index
 
 
@@ -155,25 +134,24 @@ def neq(u, v):
             return (state,)
         if not delta:
             return ()
-        return _with_constraint(state, _constraint(None, tuple(delta.items()), state.subst))
+        return _with_constraint(state, _diseq(tuple(delta.items()), state.subst))
 
     return neq_goal
 
 
 def type_constraint(v, kind: str):
-    """A goal requiring v to satisfy the named ground-term predicate.
-
-    Ground targets are checked immediately; fresh or partially ground
-    targets carry the predicate until they become ground.
-    """
+    """A goal requiring the root of v to be of a type the named predicate
+    admits: decided at once when the root is not a variable, else carried
+    on the root variable until it is bound."""
     if kind not in _PREDICATES:
         raise UnknownPredicateError(kind)
+    types = _PREDICATES[kind]
     v = to_term(v)
 
     def type_goal(state):
-        c = _constraint(kind, v, state.subst)
-        if not c[2]:
-            return (state,) if _PREDICATES[kind](c[1]) else ()
-        return _with_constraint(state, c)
+        root = walk(v, state.subst)
+        if type(root) is LogicVar:
+            return _with_constraint(state, (kind, root, (root,)))
+        return (state,) if type(root) in types else ()
 
     return type_goal

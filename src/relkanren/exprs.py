@@ -82,9 +82,6 @@ class OperatorRegistry:
     def __contains__(self, name: str) -> bool:
         return name in self._defs
 
-    def names(self):
-        return tuple(self._defs)
-
 
 def _num(t):
     if isinstance(t, bool) or not isinstance(t, (int, float)):

@@ -1,3 +1,5 @@
+import enum
+import importlib
 import itertools
 
 import pytest
@@ -5,19 +7,19 @@ import pytest
 from conftest import ATOMS, seeded
 from relkanren import (
     ConsCell,
+    LogicVar,
     State,
     Symbol,
     UnknownPredicateError,
     cons,
     eq,
     fresh_var,
-    is_ground,
     lall,
+    make_expr,
     membero,
     neq,
     nil,
     predicate_names,
-    register_predicate,
     reify,
     run,
     term_eq,
@@ -26,6 +28,8 @@ from relkanren import (
     unify,
     walk_star,
 )
+
+constraints_module = importlib.import_module("relkanren.constraints")
 
 # an independent statement of each builtin predicate on atoms
 HOLDS_ON_ATOMS = {
@@ -129,6 +133,27 @@ def test_boolean_is_not_integer():
     assert answers == (2,)
 
 
+def test_a_root_that_fails_the_predicate_fails_at_once():
+    q, a = fresh_var(), fresh_var()
+    # no grounding of ?a makes (?a . 1) an integer
+    assert run(0, q, lall(type_constraint(q, "integer"), eq(q, cons(a, 1)))) == ()
+    assert run(0, q, lall(eq(q, cons(a, 1)), type_constraint(q, "integer"))) == ()
+    answers = run(0, q, lall(type_constraint(q, "cons"), eq(q, cons(a, 1))))
+    assert len(answers) == 1 and isinstance(answers[0], ConsCell)
+
+
+class _Level(enum.IntEnum):
+    LOW = 2
+
+
+def test_an_int_subclass_is_not_an_integer():
+    # the exact-type rule by which unify keeps _Level.LOW apart from 2
+    assert unify(_Level.LOW, 2, {}) is None
+    x = fresh_var()
+    assert run(0, x, lall(type_constraint(x, "integer"), eq(x, _Level.LOW))) == ()
+    assert run(0, x, lall(type_constraint(_Level.LOW, "integer"), eq(x, 1))) == ()
+
+
 def test_multiple_neq_constraints_accumulate():
     x = fresh_var()
     g = lall(neq(x, 1), neq(x, 2), neq(x, 3), membero(x, (1, 2, 3, 4)))
@@ -151,20 +176,15 @@ def test_mixed_constraints_commute_with_binding():
                 assert answers == (), (a, f, k, order)
 
 
-def _int_pair(t):
-    return isinstance(t, ConsCell) and type(t.car) is int and type(t.cdr) is int
-
-
 def test_partially_bound_cons_carries_both_kinds_until_ground():
-    if "int-pair" not in predicate_names():
-        register_predicate("int-pair", _int_pair)
     for tail, expected in ((2, ()), ("2", ()), (3, (cons(1, 3),))):
-        for order in itertools.permutations(range(4)):
+        for order in itertools.permutations(range(5)):
             y, z = fresh_var(), fresh_var()
             pair = cons(y, z)
             goals = (
                 neq(pair, cons(1, 2)),
-                type_constraint(pair, "int-pair"),
+                type_constraint(y, "integer"),
+                type_constraint(z, "integer"),
                 eq(y, 1),
                 eq(z, tail),
             )
@@ -214,7 +234,8 @@ def _goal(step):
 
 
 def _oracle(query, program):
-    """Run only the eqs, then check every constraint on the final terms."""
+    """Run only the eqs, then check every constraint on the final terms: a
+    type constraint once its target's root is not a variable."""
     s = {}
     for what, a, b in program:
         if what == "eq":
@@ -226,7 +247,7 @@ def _oracle(query, program):
             return ()
         if what == "type":
             value = walk_star(a, s)
-            if is_ground(value) and not _holds(b, value):
+            if not isinstance(value, LogicVar) and not _holds(b, value):
                 return ()
     return (reify(query, s),)
 
@@ -286,4 +307,32 @@ def test_rechecked_constraint_stays_registered_once_per_variable():
         }
     x, y = fresh_var(), fresh_var()
     state = _after(State(), neq(x, y), type_constraint(cons(x, y), "cons"), eq(y, 1))
-    assert {v: len(cs) for v, cs in state.constraints.items()} == {x: 2}
+    assert {v: len(cs) for v, cs in state.constraints.items()} == {x: 1}
+
+
+def test_a_type_constraint_is_registered_under_its_root_variable_alone():
+    q, a = fresh_var(), fresh_var()
+    state = _after(State(), type_constraint(q, "number-or-expr"))
+    assert {v: len(cs) for v, cs in state.constraints.items()} == {q: 1}
+    # (add ?a 1) is an expression whatever ?a becomes: nothing is left to watch
+    state = _after(state, eq(q, make_expr(Symbol("add"), a, 1)))
+    assert state.constraints == {}
+
+
+def test_a_guard_on_a_deep_open_target_is_decided_without_a_rebuild(monkeypatch):
+    v = fresh_var()
+    chain = v
+    for _ in range(100_000):
+        chain = make_expr(Symbol("add"), chain, 1)
+    calls = 0
+    rebuild = constraints_module._rebuild
+
+    def counting_rebuild(t, s, on_var):
+        nonlocal calls
+        calls += 1
+        return rebuild(t, s, on_var)
+
+    monkeypatch.setattr(constraints_module, "_rebuild", counting_rebuild)
+    q = fresh_var()
+    state = _after(State(), type_constraint(q, "number-or-expr"), eq(q, chain))
+    assert state.constraints == {} and calls == 0
