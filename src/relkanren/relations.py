@@ -28,6 +28,7 @@ from .terms import (
     spine_elements,
     term_from_list,
     to_term,
+    variant_key,
 )
 from .goals import conde, delay, eq, lall, unify_state
 from .unify import _rebuild, walk, walk_star
@@ -65,23 +66,16 @@ def membero(x, coll):
     return _pair(to_term(coll), lambda h, t: conde([eq(h, x)], [membero(x, t)]))
 
 
-def _key(t):
-    """A dict key for t that is strict on atom variants.  A compound term
-    is its own key, since its equality already is; an atom is keyed with
-    its type, so 2, 2.0 and #t are three keys."""
-    return t if is_application(t) else (type(t), t)
-
-
 def _distinct_permutations(items):
     """Each ordering of items once, in itertools.permutations order.
 
     An ordering first comes up there at the one index order in which equal
-    items (equal _key) keep their given order, so no ordering is stored.
+    items (equal variant_key) keep their given order, so no ordering is stored.
     """
     last = {}
     before = []  # before[i]: the index of the last item ahead of i equal to it, or -1
     for i, x in enumerate(items):
-        k = _key(x)
+        k = variant_key(x)
         before.append(last.get(k, -1))
         last[k] = i
     for order in itertools.permutations(range(len(items))):
@@ -113,7 +107,7 @@ def permuteo(a, b):
             if len(a_elems) != len(b_elems):
                 return
             if is_ground(aw) and is_ground(bw):
-                if Counter(map(_key, a_elems)) == Counter(map(_key, b_elems)):
+                if Counter(map(variant_key, a_elems)) == Counter(map(variant_key, b_elems)):
                     yield state
                 return
         if a_elems is None and b_elems is None:

@@ -115,8 +115,6 @@ class Compound:
     def __eq__(self, other):
         if not isinstance(other, Compound):
             return NotImplemented
-        from .unify import term_eq
-
         return term_eq(self, other)
 
     def __ne__(self, other):
@@ -349,6 +347,13 @@ def term_hash(t) -> int:
             out.append(h)
 
 
+def variant_key(t):
+    """A dict key for t that is strict on atom variants.  A compound term
+    is its own key, since its equality already is; an atom is keyed with
+    its type, so 2, 2.0 and #t are three keys."""
+    return t if isinstance(t, Compound) else (type(t), t)
+
+
 def is_ground(t) -> bool:
     """True when no logic variable occurs anywhere in the term.
 
@@ -357,3 +362,8 @@ def is_ground(t) -> bool:
     substitution is ground only after walk_star.
     """
     return getattr(t, "ground", True)
+
+
+# Bound once, at the end: unify imports this module, whose names it needs
+# are all defined by now.
+from .unify import term_eq  # noqa: E402

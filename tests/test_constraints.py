@@ -30,6 +30,7 @@ from relkanren import (
 )
 
 constraints_module = importlib.import_module("relkanren.constraints")
+terms_module = importlib.import_module("relkanren.terms")
 
 # an independent statement of each builtin predicate on atoms
 HOLDS_ON_ATOMS = {
@@ -336,3 +337,102 @@ def test_a_guard_on_a_deep_open_target_is_decided_without_a_rebuild(monkeypatch)
     q = fresh_var()
     state = _after(State(), type_constraint(q, "number-or-expr"), eq(q, chain))
     assert state.constraints == {} and calls == 0
+
+
+# --- exclusion records ---------------------------------------------------
+
+ADD = Symbol("add")
+# variant atoms, an expression term beside its equal cons spine, and pairs
+EXCLUDED_VALUES = (
+    1, 1.0, True, make_expr(ADD, 1, 2), term_from_list([ADD, 1, 2]), cons(1, 1), cons(True, 1),
+)
+
+
+def _exclusion_program(rng, xs):
+    """neqs of a variable against a ground value, mixed with aliasing, ground
+    bindings and bindings to open pairs over the same variables."""
+    program = []
+    for _ in range(rng.randint(3, 5)):
+        x, y = rng.choice(xs), rng.choice(xs)
+        r = rng.random()
+        if r < 0.4:
+            program.append(("neq", x, rng.choice(EXCLUDED_VALUES)))
+        elif r < 0.6:
+            program.append(("eq", x, y))
+        elif r < 0.8:
+            program.append(("eq", x, rng.choice(EXCLUDED_VALUES)))
+        elif r < 0.92:
+            open_pair = rng.choice((cons(y, 1), cons(1.0, y), term_from_list([ADD, y, 2])))
+            program.append(("eq", x, open_pair))
+        else:
+            program.append(("type", x, rng.choice(PROGRAM_KINDS)))
+    return program
+
+
+def test_exclusion_records_match_the_oracle_in_every_goal_order():
+    x, y, z = fresh_var(), fresh_var(), fresh_var()
+    spine = term_from_list([ADD, 1, 2])
+    for value in (1, 1.0, True):
+        # the record moves to y in either aliasing direction, then meets 1
+        _check_every_order([x, y], [("neq", x, 1), ("eq", x, y), ("eq", y, value)])
+        _check_every_order([x, y], [("neq", x, 1), ("eq", y, x), ("eq", y, value)])
+        # a binding to an open pair turns each excluded value into a binding-set
+        _check_every_order(
+            [x, y], [("neq", x, cons(1, 1)), ("eq", x, cons(y, 1)), ("eq", y, value)]
+        )
+    _check_every_order([x], [("neq", x, make_expr(ADD, 1, 2)), ("eq", x, spine)])
+    _check_every_order([x, y], [("neq", x, spine), ("eq", x, make_expr(ADD, y, 2)), ("eq", y, 1)])
+    # both records meet on z, which one value then violates
+    _check_every_order(
+        [x, y, z], [("neq", x, 1), ("neq", y, 1.0), ("eq", x, z), ("eq", y, z), ("eq", z, 1.0)]
+    )
+    rng = seeded(2019)
+    for _ in range(120):
+        xs = [fresh_var() for _ in range(rng.randint(2, 3))]
+        _check_every_order(xs, _exclusion_program(rng, xs))
+
+
+def test_neqs_against_ground_values_share_one_exclusion_record():
+    x = fresh_var()
+    values = [1, 1.0, True, "1", Symbol("s"), nil, cons(1, 1), make_expr(ADD, 1, 2)]
+    state = _after(State(), *(neq(x, c) for c in values))
+    (record,) = state.constraints[x]
+    assert state.constraints.keys() == {x} and len(record[1]) == len(values)
+    # a repeated value, or the cons spine of an excluded expression, adds nothing
+    state = _after(state, neq(x, 1), neq(x, term_from_list([ADD, 1, 2])))
+    (record,) = state.constraints[x]
+    assert len(record[1]) == len(values)
+
+
+def test_a_ground_binding_rechecks_its_exclusion_record_with_no_per_filter_unify(monkeypatch):
+    """No excluded value is unified with the binding: an atom is decided
+    by its key alone, and a compound by at most the one structural
+    comparison of the dict lookup on a hash match."""
+    x = fresh_var()
+    values = [i if i % 2 else term_from_list([i, i + 1]) for i in range(40)]
+    state = _after(State(), *(neq(x, c) for c in values))
+    calls = {"unify_delta": 0, "term_eq": 0}
+
+    def counting(name, f):
+        def counted(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return counted
+
+    monkeypatch.setattr(
+        constraints_module, "unify_delta", counting("unify_delta", constraints_module.unify_delta)
+    )
+    monkeypatch.setattr(terms_module, "term_eq", counting("term_eq", terms_module.term_eq))
+
+    def rechecks(goal):
+        calls.update(unify_delta=0, term_eq=0)
+        return goal(state), calls["unify_delta"], calls["term_eq"]
+
+    (after,), unifies, comparisons = rechecks(eq(x, 40))
+    assert after.constraints == {} and (unifies, comparisons) == (0, 0)
+    assert rechecks(eq(x, 39)) == ((), 0, 0)
+    (after,), unifies, comparisons = rechecks(eq(x, term_from_list([1, 2])))
+    assert after.constraints == {} and unifies == 0 and comparisons <= 1
+    result, unifies, comparisons = rechecks(eq(x, term_from_list([38, 39])))
+    assert result == () and unifies == 0 and comparisons == 1
