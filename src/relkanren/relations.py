@@ -149,6 +149,15 @@ def walko(rel, u, v):
     operand lists relate elementwise with fresh tails permitted); plain
     equality.
 
+    Descent reads a side that walks to an application with a proper
+    operand list (x first, then y): the other side is bound once to its
+    operator over fresh operands, and the operand pairs relate in one
+    conjunction, each built only when its turn comes and without the
+    descent disjunct where either side is an atom.  Where neither side is
+    known, or the known side's operand list has an open tail, descent
+    stays relational and builds the other side one pair at a time.  The
+    answers and their order are those of the relational descent.
+
     Descent into a side that is already an application must rewrite at
     least one operand.  Leaving every operand unchanged would give back
     the term that the equality disjunct gives, so a node with n rewritable
@@ -157,37 +166,58 @@ def walko(rel, u, v):
     may still leave every operand unchanged: that answer, one application
     on both sides, is more specific than equality's one shared variable.
     The disjuncts keep their order and every pruned branch gave the
-    equality answer again (or, below an operand list with an open tail,
-    an instance of it with nothing rewritten), so the other answers come
-    in the order of their first occurrence under unrestricted descent.
-    Two positions that rewrite to the same term still give it twice.
+    equality answer again, so on operand lists with proper spines the
+    other answers come in the order of their first occurrence under
+    unrestricted descent.  Below an operand list with an open tail a
+    pruned branch gave instances with nothing rewritten, which took turns
+    there, so the rewrites may come earlier than under unrestricted
+    descent.  Two positions that rewrite to the same term still give it
+    twice.
     """
 
-    def step(x, y, changed):
+    def step(x, y, changed, descend=True):
         # changed: the enclosing node's flag, bound to True once the rule
-        # rewrites one of its operands, here or below; equality leaves it
-        return conde(
-            [eq(changed, True), delay(lambda: rel(x, y))],
-            [eq(changed, True), lambda state: _descend(x, y, state)],
-            [eq(x, y)],
-        )
+        # rewrites one of its operands, here or below; equality leaves it.
+        # descend False drops the descent disjunct, which would fail at once
+        rule = [eq(changed, True), delay(lambda: rel(x, y))]
+        if not descend:
+            return conde(rule, [eq(x, y)])
+        return conde(rule, [eq(changed, True), lambda state: _descend(x, y, state)], [eq(x, y)])
 
     def _descend(x, y, state):
-        # two fresh sides may keep every operand, as their identity is not
-        # the equality disjunct's answer: their node counts as changed
-        known = any(is_application(walk(t, state.subst)) for t in (x, y))
-        changed, dy = fresh_var() if known else True, fresh_var()
-        return _pair(x, lambda rator, dx: lall(conso(rator, dy, y), _rands(dx, dy, changed)))
+        wx, wy = walk(x, state.subst), walk(y, state.subst)
+        known = wx if is_application(wx) else wy if is_application(wy) else None
+        elems = None if known is None else spine_elements(known)
+        if elems is None:
+            # two fresh sides may keep every operand, as their identity is
+            # not the equality disjunct's answer: their node counts as changed
+            changed, dy = True if known is None else fresh_var(), fresh_var()
+            return _pair(x, lambda rator, dx: lall(conso(rator, dy, y), _rands(dx, dy, changed)))
+        rator, *ops = elems
+        fresh = [fresh_var() for _ in ops]
+        xs, ys = (ops, fresh) if known is wx else (fresh, ops)
+        return lall(eq(y if known is wx else x, cons(rator, term_from_list(fresh))),
+                    _operands(xs, ys, 0, fresh_var(), state.subst))
+
+    def _operands(xs, ys, i, changed, s):
+        # operand i's step, then a goal that builds the next one's; an atom
+        # on either side in s (bindings only grow) cannot be descended into
+        if i == len(xs):
+            return _rewritten(changed)
+        x, y = xs[i], ys[i]
+        descend = all(w.__class__ is LogicVar or is_application(w) for w in (walk(x, s), walk(y, s)))
+        return lall(step(x, y, changed, descend),
+                    lambda state: _operands(xs, ys, i + 1, changed, state.subst))
 
     def _rands(dx, dy, changed):
-        def rewritten(state):
-            return (state,) if walk(changed, state.subst) is True else ()
-
         return conde(
-            [eq(dx, nil), eq(dy, nil), rewritten],
+            [eq(dx, nil), eq(dy, nil), _rewritten(changed)],
             [_pair(dx, lambda hx, tx: _pair(dy, lambda hy, ty: lall(
                 step(hx, hy, changed), _rands(tx, ty, changed))))],
         )
+
+    def _rewritten(changed):
+        return lambda state: (state,) if walk(changed, state.subst) is True else ()
 
     return step(to_term(u), to_term(v), fresh_var())
 

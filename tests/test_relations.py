@@ -26,6 +26,7 @@ from relkanren import (
     print_term,
     reduceo,
     run,
+    run_bounded,
     term_eq,
     term_from_list,
     term_hash,
@@ -509,3 +510,89 @@ def test_walko_streams_each_rewrite_of_a_wide_term_once(n):
     lines = _printed(run(0, q, walko(math_reduce_rule, t, q)))
     assert len(lines) == 2**n
     assert len(set(lines)) == 2**n
+
+
+def _as_unrestricted(rel, u, v, q):
+    """walko's printed answers, checked against the unrestricted reference:
+    the same first occurrences in the same order, and never more lines."""
+    got = _printed(run(0, q, walko(rel, u, v)))
+    want = _printed(run(0, q, _walko_unrestricted(rel, u, v)))
+    assert _first_occurrences(got) == _first_occurrences(want)
+    assert len(got) <= len(want)
+    return got
+
+
+def test_walko_known_side_with_an_open_operand_list_streams_as_unrestricted_descent():
+    # (add 1 . ?t): the known side's operand list has an open tail, so
+    # descent stays relational
+    x, y = cons(ADD, cons(1, fresh_var())), fresh_var()
+    q = term_from_list([x, y])
+    got = _first_occurrences(_printed(run(12, q, walko(math_reduce_rule, x, y))))
+    assert got[:3] == [
+        "((add 1 1) (mul 2 1))",
+        "((add 1 (add ?_0 ?_0)) (add 1 (mul 2 ?_0)))",
+        "((add 1 . ?_0) (add 1 . ?_0))",
+    ]
+    want = run(200, q, _walko_unrestricted(math_reduce_rule, x, y))
+    sides = {print_term(a): list_from_term(a) for a in want}
+    lines = _first_occurrences(_printed(want))
+    assert set(got) <= set(lines)
+    # below the open tail a pruned descent rewrote nothing: only such
+    # instances drop out, e.g. ((add 1) (add 1))
+    upto = lines[: max(map(lines.index, got)) + 1]
+    dropped = [sides[line] for line in upto if line not in got]
+    assert dropped and all(term_eq(a, b) for a, b in dropped)
+
+
+def test_walko_with_both_sides_known_streams_as_unrestricted_descent():
+    t = make_expr(MUL, make_expr(ADD, 3, 3), make_expr(ADD, 2, 2))
+    a = fresh_var()
+    same_count = make_expr(MUL, a, make_expr(MUL, 2, 2))
+    assert _as_unrestricted(math_reduce_rule, t, same_count, a) == ["(mul 2 3)", "(add 3 3)"]
+    for other in (make_expr(MUL, a), make_expr(MUL, a, 1, 2), make_expr(SUB, a, make_expr(MUL, 2, 2))):
+        assert _as_unrestricted(math_reduce_rule, t, other, a) == []
+
+
+def test_walko_backwards_over_nested_applications_streams_as_unrestricted_descent():
+    t = make_expr(MUL, make_expr(MUL, 2, make_expr(MUL, 2, 5)), make_expr(SUB, make_expr(MUL, 2, 1), 1))
+    q = fresh_var()
+    got = _as_unrestricted(math_reduce_rule, q, t, q)
+    assert got == _first_occurrences(got)
+    assert "(mul (add (mul 2 5) (mul 2 5)) (sub (add 1 1) 1))" in got
+
+
+def test_walko_over_a_data_list_with_an_expression_tail_streams_as_unrestricted_descent():
+    # ((add 1 1) 7 . (mul (add 2 2) 3)) is the list ((add 1 1) 7 mul (add 2 2) 3)
+    data = cons(make_expr(ADD, 1, 1), cons(7, make_expr(MUL, make_expr(ADD, 2, 2), 3)))
+    t = make_expr(Symbol("tuple"), data, make_expr(ADD, 5, 5))
+    q = fresh_var()
+    got = _as_unrestricted(math_reduce_rule, t, q, q)
+    assert "(tuple ((add 1 1) 7 mul (mul 2 2) 3) (mul 2 5))" in got
+    assert not any(line.startswith("(tuple ((mul") for line in got)  # operators are not rewritten
+    assert _as_unrestricted(math_reduce_rule, q, t, q)
+
+
+def test_walko_of_reduceo_streams_as_unrestricted_descent():
+    t = make_expr(Symbol("tuple"), make_expr(LOG, make_expr(EXP, make_expr(ADD, 2, 2))), make_expr(ADD, 5, 5))
+    q = fresh_var()
+    got = _as_unrestricted(lambda a, b: reduceo(math_reduce_rule, a, b), t, q, q)
+    assert got[0] == "(tuple (mul 2 2) (mul 2 5))"
+
+
+def test_walko_over_a_wide_list_without_a_redex_fits_its_step_budget():
+    t = make_expr(Symbol("tuple"), *range(40))
+    q = fresh_var()
+    answers, exhausted = run_bounded(0, 700, q, walko(math_reduce_rule, t, q))
+    assert not exhausted
+    assert _printed(answers) == [print_term(t)]
+
+
+def test_walko_down_a_deep_term_fits_its_step_budget():
+    d = 1
+    for _ in range(400):
+        d = make_expr(ADD, d, 1)
+    t = make_expr(LOG, make_expr(EXP, d))
+    q = fresh_var()
+    answers, exhausted = run_bounded(0, 25_000, q, walko(math_reduce_rule, t, q))
+    assert not exhausted
+    assert len(answers) == 3 and term_eq(answers[0], d)
