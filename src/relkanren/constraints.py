@@ -2,28 +2,31 @@
 
 A state's constraints are one immutable index, a dict never mutated once
 built, from each unbound variable to the constraints that watch it.  A
-constraint is a triple ``(name, term, watched)`` of one of three kinds:
+constraint is a triple of one of two kinds:
 
-- a disequality has name None and as term its minimal binding-set, a
-  tuple of ``(variable, term)`` pairs that must never all hold at once;
-- an exclusion record has name ``_EXCLUDED`` and as term a dict from
-  :func:`~relkanren.terms.variant_key` to each ground value its variable
-  may never take.  It holds every disequality whose binding-set is one
-  binding of a variable to a ground value, and a variable has at most
-  one, so a ground binding decides them all with one ``in`` test;
-- a type constraint has the predicate name and as term its target's
-  root, a variable.  A predicate is the set of exact root types it admits
-  (as ``unify_delta`` keeps atoms of distinct types apart), so a target is
-  decided by its root's exact type as soon as that root is not a variable.
+- a disequality ``(bset, None, watched)`` has as bset its minimal
+  binding-set, a tuple of ``(variable, term)`` pairs that must never all
+  hold at once;
+- a domain ``(types, excluded, (v,))`` says what its one variable v may
+  become: a term whose root's exact type is in the frozenset types (any
+  type when types is None) and that is no ground value of the dict
+  excluded, keyed by :func:`~relkanren.terms.variant_key`.  A type
+  constraint on a variable narrows types; a disequality whose
+  binding-set is one binding of a variable to a ground value joins
+  excluded.  A variable has at most one domain, so once it is bound one
+  type test and one ``in`` test decide all of them.  A predicate is a
+  set of exact root types (as ``unify_delta`` keeps atoms of distinct
+  types apart), and types meet by intersection: an empty one fails only
+  when its variable is bound.
 
 The invariant: a live constraint is registered under exactly its
 ``watched`` variables, and nothing else is: for a disequality the
 variables left unbound in ``walk_star`` of its binding-set (variables and
-values alike), for an exclusion record and a type constraint their one
-variable alone.  A binding of a variable outside the index therefore
-cannot change any constraint's outcome, so after a unification
-:func:`revalidate` rechecks only the constraints on the variables it bound
-(the design of cKanren's attributed variables).
+values alike), for a domain its one variable alone.  A binding of a
+variable outside the index therefore cannot change any constraint's
+outcome, so after a unification :func:`revalidate` rechecks only the
+constraints on the variables it bound (the design of cKanren's attributed
+variables).
 """
 
 from __future__ import annotations
@@ -54,12 +57,35 @@ def predicate_names():
     return tuple(_PREDICATES)
 
 
-_EXCLUDED = "=/="
+def _with_constraint(state, add, *args):
+    index = dict(state.constraints)
+    add(index, *args)
+    return (state.__class__(state.subst, index),)
 
 
-def _diseq(bset, s: dict):
-    """The disequality on binding-set bset under s, watching the distinct
-    variables left unbound in walk_star of its variables and values."""
+def _restrict(index: dict, v, types, excluded: dict) -> None:
+    """Narrow v's domain in index to the root types in types (None admits
+    any) and away from the ground values in excluded."""
+    cs = index.get(v, ())
+    for i, c in enumerate(cs):
+        if c[1] is not None:
+            if c[0] is not None:
+                types = c[0] if types is None else c[0] & types
+            index[v] = cs[:i] + ((types, c[1] | excluded, (v,)),) + cs[i + 1:]
+            return
+    index[v] = cs + ((types, excluded, (v,)),)
+
+
+def _post(index: dict, bset, s: dict) -> None:
+    """Register the disequality on binding-set bset in index: in its
+    variable's domain when it binds one variable to a ground value, else
+    under the distinct variables left unbound in walk_star of its
+    variables and values."""
+    if len(bset) == 1:
+        v, t = bset[0]
+        if getattr(t, "ground", True):
+            _restrict(index, v, None, {variant_key(t): t})
+            return
     seen = {}
 
     def note(v):
@@ -69,40 +95,9 @@ def _diseq(bset, s: dict):
     for pair in bset:
         for t in pair:
             _rebuild(t, s, note)
-    return None, bset, tuple(seen)
-
-
-def _register(index: dict, constraint) -> None:
-    for v in constraint[2]:
-        index[v] = index.get(v, ()) + (constraint,)
-
-
-def _with_constraint(state, add, *args):
-    index = dict(state.constraints)
-    add(index, *args)
-    return (state.__class__(state.subst, index),)
-
-
-def _exclude(index: dict, v, record: dict) -> None:
-    """Merge record into v's exclusion record in index."""
-    cs = index.get(v, ())
-    for i, c in enumerate(cs):
-        if c[0] is _EXCLUDED:
-            index[v] = cs[:i] + ((_EXCLUDED, c[1] | record, (v,)),) + cs[i + 1:]
-            return
-    index[v] = cs + ((_EXCLUDED, record, (v,)),)
-
-
-def _post(index: dict, bset, s: dict) -> None:
-    """Register the disequality on binding-set bset in index: in its
-    variable's exclusion record when it binds one variable to a ground
-    value, else under the variables it watches."""
-    if len(bset) == 1:
-        v, t = bset[0]
-        if getattr(t, "ground", True):
-            _exclude(index, v, {variant_key(t): t})
-            return
-    _register(index, _diseq(bset, s))
+    c = (bset, None, tuple(seen))
+    for v in seen:
+        index[v] = index.get(v, ()) + (c,)
 
 
 def revalidate(index: dict, s: dict, delta: dict):
@@ -111,14 +106,13 @@ def revalidate(index: dict, s: dict, delta: dict):
     Returns the index of the constraints that still wait on unbound
     variables (the same object when delta touches none), or None when
     one is violated.  A binding-set that can no longer all hold is
-    dropped; one whose bindings all hold violates its disequality.  An
-    exclusion record whose variable's new root is a variable merges into
-    that variable's record; a ground root is decided by one lookup; each
-    value of a record on an open compound root is rechecked as a
-    binding-set of its own.  A type constraint is decided by its new
-    root's exact type unless that root is a variable.  Every other
-    rechecked constraint is registered anew under the variables it now
-    watches.
+    dropped; one whose bindings all hold violates its disequality.  A
+    domain whose variable's new root is a variable narrows that
+    variable's domain.  Any other root must have an admitted type; then a
+    ground root is decided by one lookup, and each excluded value of a
+    domain on an open compound root is rechecked as a binding-set of its
+    own.  Every other rechecked disequality is registered anew under the
+    variables it now watches.
     """
     if not index:
         return index
@@ -135,27 +129,22 @@ def revalidate(index: dict, s: dict, delta: dict):
         rest = tuple(c for c in index.pop(v) if id(c) not in hits)
         if rest:
             index[v] = rest
-    for name, term, watched in hits.values():
-        if name is None:
-            bsets = (term,)
-        elif name is _EXCLUDED:
-            v = watched[0]
+    for c in hits.values():
+        if c[1] is None:
+            bsets = (c[0],)
+        else:
+            types, excluded, (v,) = c
             root = walk(v, s)
             if type(root) is LogicVar:
-                _exclude(index, root, term)
+                _restrict(index, root, types, excluded)
                 continue
+            if types is not None and type(root) not in types:
+                return None
             if getattr(root, "ground", True):
-                if variant_key(root) in term:
+                if variant_key(root) in excluded:
                     return None
                 continue
-            bsets = [((v, t),) for t in term.values()]
-        else:
-            root = walk(term, s)
-            if type(root) is LogicVar:
-                _register(index, (name, root, (root,)))
-            elif type(root) not in _PREDICATES[name]:
-                return None
-            continue
+            bsets = [((v, t),) for t in excluded.values()]
         for bset in bsets:
             bset = unify_delta(bset, s)
             if bset is None:
@@ -172,9 +161,9 @@ def neq(u, v):
     A trial unification decides what to record: failure means the
     disequality already holds (no change); success with no new bindings
     means the terms are already equal (fail); otherwise the delta bindings
-    are recorded as a prohibited binding-set, or as one more value in
-    their variable's exclusion record when they bind one variable to a
-    ground value.
+    are recorded as a prohibited binding-set, or as one more value their
+    variable's domain excludes when they bind one variable to a ground
+    value.
     """
     u = to_term(u)
     v = to_term(v)
@@ -192,8 +181,8 @@ def neq(u, v):
 
 def type_constraint(v, kind: str):
     """A goal requiring the root of v to be of a type the named predicate
-    admits: decided at once when the root is not a variable, else carried
-    on the root variable until it is bound."""
+    admits: decided at once when the root is not a variable, else
+    narrowing the root variable's domain until it is bound."""
     if kind not in _PREDICATES:
         raise UnknownPredicateError(kind)
     types = _PREDICATES[kind]
@@ -202,7 +191,7 @@ def type_constraint(v, kind: str):
     def type_goal(state):
         root = walk(v, state.subst)
         if type(root) is LogicVar:
-            return _with_constraint(state, _register, (kind, root, (root,)))
+            return _with_constraint(state, _restrict, root, types, {})
         return (state,) if type(root) in types else ()
 
     return type_goal

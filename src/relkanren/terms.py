@@ -13,9 +13,9 @@ Every term answers ``ground`` in O(1): an atom is ground, a
 construction whether all its parts are, so traversals skip ground subterms
 without visiting them.
 
-All deep operations here (hashing, list conversion) use explicit
-work stacks instead of host recursion so that very deep structures do not
-exhaust the interpreter stack.
+All deep operations here (hashing, list conversion, coercion of nested
+Python sequences) use explicit work stacks instead of host recursion so
+that very deep structures do not exhaust the interpreter stack.
 """
 
 from __future__ import annotations
@@ -254,19 +254,38 @@ def spine_elements(t):
     return out if tail is nil else None
 
 
+_TERM_TYPES = (LogicVar, Compound, Symbol, bool, int, float, str)
+
+
 def to_term(obj):
     """Coerce Python natives to terms: lists/tuples become proper lists.
 
     Terms pass through unchanged; this is a convenience for goal
     constructors so callers can write ``membero(x, (1, 2, 3))``.
     """
-    if obj is nil or isinstance(obj, (LogicVar, Compound, Symbol)):
+    if obj is nil or isinstance(obj, _TERM_TYPES):
         return obj
-    if isinstance(obj, (list, tuple)):
-        return term_from_list([to_term(x) for x in obj])
-    if isinstance(obj, (bool, int, float, str)):
-        return obj
-    raise TypeError(f"cannot convert {obj!r} to a term")
+    # one frame per list being converted: its items left and their terms
+    stack = []
+    items, out = iter((obj,)), []
+    while True:
+        for x in items:
+            if x is nil or isinstance(x, _TERM_TYPES):
+                out.append(x)
+            elif isinstance(x, (list, tuple)):
+                stack.append((items, out))
+                items, out = iter(x), []
+                break
+            else:
+                raise TypeError(f"cannot convert {x!r} to a term")
+        else:
+            if not stack:
+                return out[0]
+            t = nil
+            for x in reversed(out):
+                t = ConsCell(x, t)
+            items, out = stack.pop()
+            out.append(t)
 
 
 _H_NIL = hash(("nil",))

@@ -386,6 +386,15 @@ def test_exclusion_records_match_the_oracle_in_every_goal_order():
     _check_every_order(
         [x, y, z], [("neq", x, 1), ("neq", y, 1.0), ("eq", x, z), ("eq", y, z), ("eq", z, 1.0)]
     )
+    # a type guard and an excluded value meet in one domain
+    for value in (1, 2, 1.0):
+        _check_every_order(
+            [x, y], [("type", x, "integer"), ("neq", y, 1), ("eq", x, y), ("eq", y, value)]
+        )
+    # disjoint guards fail only once their variable is bound
+    disjoint = [("type", x, "integer"), ("type", y, "symbol"), ("eq", x, y)]
+    _check_every_order([x, y], disjoint)
+    _check_every_order([x, y], disjoint + [("eq", y, 1)])
     rng = seeded(2019)
     for _ in range(120):
         xs = [fresh_var() for _ in range(rng.randint(2, 3))]
@@ -402,6 +411,20 @@ def test_neqs_against_ground_values_share_one_exclusion_record():
     state = _after(state, neq(x, 1), neq(x, term_from_list([ADD, 1, 2])))
     (record,) = state.constraints[x]
     assert len(record[1]) == len(values)
+
+
+def test_a_variable_has_one_domain_for_its_types_and_excluded_values():
+    x, y = fresh_var(), fresh_var()
+    state = _after(State(), neq(x, 1), neq(x, 2.0), type_constraint(x, "number"))
+    assert {v: len(cs) for v, cs in state.constraints.items()} == {x: 1}
+    (domain,) = state.constraints[x]
+    assert len(domain[1]) == 2 and domain[2] == (x,)
+    state = _after(state, type_constraint(y, "integer"), neq(y, 3), eq(x, y))
+    assert {v: len(cs) for v, cs in state.constraints.items()} == {y: 1}
+    (domain,) = state.constraints[y]
+    assert len(domain[1]) == 3 and domain[2] == (y,)
+    candidates = (1, 2, 2.0, 3, 4, 4.0, True, Symbol("s"))
+    assert [s.subst[y] for c in candidates for s in eq(y, c)(state)] == [2, 4]
 
 
 def test_a_ground_binding_rechecks_its_exclusion_record_with_no_per_filter_unify(monkeypatch):

@@ -6,11 +6,13 @@ from relkanren import (
     ExprTerm,
     ImproperListError,
     LogicVar,
+    State,
     Symbol,
     builtin_registry,
     car,
     cdr,
     cons,
+    eq,
     fresh_var,
     is_ground,
     list_from_term,
@@ -18,6 +20,7 @@ from relkanren import (
     nil,
     parse_sexpr,
     reify,
+    run,
     term_eq,
     term_from_list,
     term_hash,
@@ -59,6 +62,23 @@ def test_improper_list_rejected():
 def test_to_term_coerces_sequences():
     t = to_term([1, (2, 3), []])
     assert term_eq(t, term_from_list([1, term_from_list([2, 3]), nil]))
+
+
+def test_to_term_of_a_deeply_nested_tuple_is_stack_safe():
+    depth = 10**5
+    native = ()
+    for i in range(depth):
+        native = (i, native)
+    q = fresh_var()
+    goal = eq(q, native)
+    (answer,) = run(1, q, goal)
+    (state,) = goal(State())
+    assert walk_star(q, state.subst) is answer
+    t = answer
+    for i in reversed(range(depth)):
+        head, t = list_from_term(t)
+        assert type(head) is int and head == i
+    assert t is nil
 
 
 def test_strict_atom_equality():
