@@ -76,7 +76,6 @@ from .rules import (
     beta_binomial_conjugate,
     builtin_rulesets,
     default_registry,
-    install_rv_operators,
     math_reduce_rule,
     normal_affine_rule,
     normal_sum_rule,

@@ -7,8 +7,9 @@ printed line.  ``relkanren query`` runs a small goal program.
 
 Exit codes: 0 with at least one answer, 1 with none, 2 on step-budget
 exhaustion (partial answers flushed, diagnostic on stderr), 3 for an
-unknown ruleset name, 4 for a parse error or an invalid command line or
-``RELKANREN_MAX_STEPS`` (``--help`` exits 0), 5 for any other error (one
+unknown ruleset name, 4 for a parse error, an invalid command line or
+``RELKANREN_MAX_STEPS``, or an ``--input`` or ``--output`` path that
+cannot be read or written (``--help`` exits 0), 5 for any other error (one
 line on stderr naming the exception, and for MemoryError the remedy;
 answers printed before it stay).
 Every error is one line on stderr; only answer lines go to the output.
@@ -17,7 +18,6 @@ Every error is one line on stderr; only answer lines go to the output.
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import sys
 
@@ -72,19 +72,29 @@ def _default_budget() -> int:
 def _read_input(path):
     if path is None or path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        reason = exc.strerror
+    except UnicodeDecodeError as exc:
+        reason = exc
+    raise _CliError(f"--input {path}: {reason}", EXIT_PARSE_ERROR)
+
+
+def _open_output(path):
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise _CliError(f"--output {path}: {exc.strerror}", EXIT_PARSE_ERROR) from None
 
 
 def _lookup_rules(names):
     rulesets = builtin_rulesets()
-    rules = []
     for name in names:
-        rs = rulesets.get(name)
-        if rs is None:
+        if name not in rulesets:
             raise _CliError(f"unknown ruleset: {name}", EXIT_UNKNOWN_RULESET)
-        rules.append(rs.rule)
-    return rules
+    return [rulesets[name] for name in names]
 
 
 def _combine(rules):
@@ -106,7 +116,7 @@ def _run_stream(args, limit, query, *goals, seen=()):
     # ``seen``.
     seen = set(seen)
     count = 0
-    out = sys.stdout if args.output is None else open(args.output, "w", encoding="utf-8")
+    out = sys.stdout if args.output is None else _open_output(args.output)
     exhausted = False
     try:
         with step_budget(args.max_steps):
@@ -257,15 +267,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# argparse parsers hold no state between parses, so one serves every call
-_parser = functools.cache(build_parser)
+# argparse parsers hold no state between parses, so one, built at import
+# from the rulesets' descriptions, serves every call
+_parser = build_parser()
 
 
 def main(argv=None) -> int:
     try:
         # read on every call, and an invalid value exits 4 before argv is read
         budget = _default_budget()
-        args = _parser().parse_args(argv)
+        args = _parser.parse_args(argv)
         if args.max_steps is None:
             args.max_steps = budget
         return args.func(args)

@@ -1,17 +1,15 @@
 """Relational building blocks for term rewriting.
 
 List relations (conso, membero), permutation matching, fixed-point
-reduction, whole-graph walking, rewrite rules compiled from records,
-and commutative argument matching.
+reduction, whole-graph walking, the head key by which a ruleset
+indexes its records, and commutative argument matching.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from typing import Callable, NamedTuple
 
-from .constraints import type_constraint
 from .exprs import OperatorRegistry
 from .terms import (
     ConsCell,
@@ -30,8 +28,8 @@ from .terms import (
     to_term,
     variant_key,
 )
-from .goals import conde, delay, eq, lall, unify_state
-from .unify import _rebuild, walk, walk_star
+from .goals import conde, delay, eq, lall
+from .unify import walk, walk_star
 
 
 class GroundednessError(Exception):
@@ -179,7 +177,7 @@ def walko(rel, u, v):
         # changed: the enclosing node's flag, bound to True once the rule
         # rewrites one of its operands, here or below; equality leaves it.
         # descend False drops the descent disjunct, which would fail at once
-        rule = [eq(changed, True), delay(lambda: rel(x, y))]
+        rule = [eq(changed, True), rel(x, y)]
         if not descend:
             return conde(rule, [eq(x, y)])
         return conde(rule, [eq(changed, True), lambda state: _descend(x, y, state)], [eq(x, y)])
@@ -222,16 +220,6 @@ def walko(rel, u, v):
     return step(to_term(u), to_term(v), fresh_var())
 
 
-class Rule(NamedTuple):
-    """A rewrite record: ``lhs`` relates to ``rhs`` where each guard
-    ``(variable, predicate name)`` holds.  Its variables are renamed fresh
-    at every use."""
-
-    lhs: object
-    rhs: object
-    guards: tuple
-
-
 _NO_HEAD = object()
 
 
@@ -246,54 +234,6 @@ def _head(t, s):
     if t.__class__ is Symbol:
         return t.name
     return None if t.__class__ is LogicVar else _NO_HEAD
-
-
-def _apply(r: Rule, u, v, state):
-    """The state in which u is r's pattern and v its template, renamed
-    fresh, with r's guards on, or None."""
-    fresh = {}
-
-    def twin(x):  # x's fresh twin, made on first sight
-        t = fresh.get(x)
-        if t is None:
-            t = fresh[x] = fresh_var(x.hint)
-        return t
-
-    lhs, rhs = _rebuild(r.lhs, {}, twin), _rebuild(r.rhs, {}, twin)
-    for x, pred in r.guards:  # on a fresh variable, so it waits: one state
-        (state,) = type_constraint(twin(x), pred)(state)
-    return unify_state(state, [(v, rhs), (u, lhs)])  # u unifies first
-
-
-def compile_rules(*records: Rule) -> Callable:
-    """The ``rule(u, v)`` goal constructor of an ordered tuple of records.
-
-    The goal is a leaf.  It walks u and v once and admits a record only if
-    each side's head key can be its pattern's (or template's) head; None,
-    a variable's key, admits any.  An admitted record yields at most one
-    state.  A rejected record could only fail, so the answers and their
-    order are those of the records' disjunction, and a call that admits no
-    record makes no variable and no term.
-    """
-    index = [(_head(r.lhs, {}), _head(r.rhs, {}), r) for r in records]
-
-    def rule(u, v):
-        u, v = to_term(u), to_term(v)
-
-        def rule_goal(state):
-            s = state.subst
-            hu, hv = _head(walk(u, s), s), _head(walk(v, s), s)
-            hits = [r for lh, rh, r in index
-                    if not (hu and lh and hu != lh or hv and rh and hv != rh)]
-            if len(hits) > 1:
-                # as in a disjunction, a record runs only when its turn comes
-                return filter(None, (_apply(r, u, v, state) for r in hits))
-            st = _apply(hits[0], u, v, state) if hits else None
-            return () if st is None else (st,)
-
-        return rule_goal
-
-    return rule
 
 
 def eq_comm(u, v, reg: OperatorRegistry):

@@ -92,6 +92,59 @@ def test_parse_error_leaves_no_output_file(tmp_path, capsys, monkeypatch, argv, 
     assert not out_path.exists()
 
 
+def _missing(tmp_path):
+    return tmp_path / "missing.txt"
+
+
+def _not_utf8(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"(add \xe9 \xe9)")
+    return path
+
+
+@pytest.mark.parametrize(
+    "flag, make_path",
+    [
+        ("--input", _missing),
+        ("--input", lambda tmp_path: tmp_path),
+        ("--input", _not_utf8),
+        ("--output", lambda tmp_path: tmp_path),
+    ],
+    ids=["missing-input", "directory-input", "non-utf8-input", "directory-output"],
+)
+def test_bad_input_or_output_path_exits_four_with_one_line(
+    tmp_path, capsys, monkeypatch, flag, make_path
+):
+    path = make_path(tmp_path)
+    out_path = tmp_path / "out.txt"
+    argv = ["rewrite", "--rules", "math", flag, str(path)]
+    if flag == "--input":
+        argv += ["--output", str(out_path)]
+    code, out, err = invoke(capsys, monkeypatch, argv, stdin="(add 5 5)")
+    assert code == EXIT_PARSE_ERROR
+    assert out == ""
+    assert err.startswith(f"{flag} {path}: ")
+    assert err.count("\n") == 1
+    assert not out_path.exists()
+
+
+def test_rewrite_only_calls_the_rulesets_it_looks_up(capsys, monkeypatch):
+    # builtin_rulesets reads the module's names at each call, so a name
+    # rebound to a plain goal constructor is what the CLI runs
+    from relkanren import rules
+
+    calls = []
+
+    def plain(u, v, rs=rules.math_reduce_rule):
+        calls.append(1)
+        return rs(u, v)
+
+    monkeypatch.setattr(rules, "math_reduce_rule", plain)
+    code, out, err = invoke(capsys, monkeypatch, ["rewrite", "--rules", "math"], stdin="(add 5 5)")
+    assert (code, out, err) == (EXIT_OK, "(mul 2 5)\n", "")
+    assert calls
+
+
 def test_rewrite_no_answers_exit_one(capsys, monkeypatch):
     code, out, err = invoke(
         capsys,

@@ -467,7 +467,7 @@ def test_walko_keeps_the_first_occurrence_order_of_unrestricted_descent():
     from relkanren.sexpr import parse_sexpr
 
     reg = default_registry()
-    rules = [rs.rule for rs in builtin_rulesets().values()]
+    rules = list(builtin_rulesets().values())
     rules.append(lambda u, v: lany(*(r(u, v) for r in rules[:4])))
     rng = random.Random(6011)
     shorter = 0

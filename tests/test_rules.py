@@ -168,7 +168,7 @@ def test_builtin_ruleset_names():
 
 def test_ruleset_rules_are_callable_goals():
     q = fresh_var()
-    rule = builtin_rulesets()["math"].rule
+    rule = builtin_rulesets()["math"]
     answers = run(0, q, rule(make_expr(ADD, 4, 4), q))
     assert any(term_eq(a, make_expr(MUL, 2, 4)) for a in answers)
 
@@ -244,10 +244,10 @@ def _rule_pairs():
     """(compiled, reference) for each builtin ruleset and for all four
     together, combined as the CLI combines several rulesets."""
     rulesets = builtin_rulesets()
-    pairs = [(rulesets[name].rule, ref) for name, ref in _REFERENCE.items()]
+    pairs = [(rulesets[name], ref) for name, ref in _REFERENCE.items()]
     refs = list(_REFERENCE.values())
     pairs.append((
-        _combine([rs.rule for rs in rulesets.values()]),
+        _combine(list(rulesets.values())),
         lambda u, v: lany(*(r(u, v) for r in refs)),
     ))
     return pairs
@@ -312,17 +312,17 @@ def test_compiled_rules_run_both_ways_as_the_reference():
 def test_rejected_rule_call_makes_no_variable_and_no_state(name, text):
     u = parse_sexpr(text, registry=default_registry())
     v = fresh_var()
-    goal = builtin_rulesets()[name].rule(u, v)
+    goal = builtin_rulesets()[name](u, v)
     before = fresh_var().id
     assert goal(State()) == ()
     assert fresh_var().id == before + 1
 
 
 def test_record_with_a_list_pattern_runs_both_ways():
-    from relkanren.relations import compile_rules
+    from relkanren.rules import RuleSet
     from relkanren.rules import record
 
-    rule = compile_rules(record("((sum (?a ?b)) (add ?a ?b) (number ?a) (number ?b))"))
+    rule = RuleSet("", record("((sum (?a ?b)) (add ?a ?b) (number ?a) (number ?b))"))
     reg = default_registry()
     q = fresh_var()
     forward = rule(parse_sexpr("(sum (1 2))", registry=reg), q)
