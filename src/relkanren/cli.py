@@ -233,6 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="relkanren",
         description="Relational term rewriting with statistical-model rules.",
+        formatter_class=argparse.RawDescriptionHelpFormatter,  # one ruleset per epilog line
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

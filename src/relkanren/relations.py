@@ -23,6 +23,7 @@ from .terms import (
     is_application,
     is_ground,
     nil,
+    spine,
     spine_elements,
     term_from_list,
     to_term,
@@ -90,8 +91,10 @@ def permuteo(a, b):
     """Holds iff a and b are proper lists that are multiset-equal.
 
     Ground/ground uses a direct multiset comparison; ground/fresh
-    enumerates permutations of the ground side.  Both-fresh arguments
-    raise GroundednessError instead of diverging.
+    enumerates permutations of the ground side.  A side that can never be
+    a proper list (an atom, or a spine ending in one) fails.  Two sides
+    whose spines both end in a variable raise GroundednessError instead
+    of diverging.
     """
     a = to_term(a)
     b = to_term(b)
@@ -99,20 +102,21 @@ def permuteo(a, b):
     def permuteo_goal(state):
         aw = walk_star(a, state.subst)
         bw = walk_star(b, state.subst)
-        a_elems = spine_elements(aw)
-        b_elems = spine_elements(bw)
-        if a_elems is not None and b_elems is not None:
+        (a_elems, a_tail), (b_elems, b_tail) = spine(aw), spine(bw)
+        if not all(t is nil or t.__class__ is LogicVar for t in (a_tail, b_tail)):
+            return
+        if a_tail is nil and b_tail is nil:
             if len(a_elems) != len(b_elems):
                 return
             if is_ground(aw) and is_ground(bw):
                 if Counter(map(variant_key, a_elems)) == Counter(map(variant_key, b_elems)):
                     yield state
                 return
-        if a_elems is None and b_elems is None:
+        if a_tail is not nil and b_tail is not nil:
             raise GroundednessError(
                 "permuteo needs at least one argument with a known list spine"
             )
-        if a_elems is not None:
+        if a_tail is nil:
             src, dst = a_elems, bw
         else:
             src, dst = b_elems, aw

@@ -14,18 +14,24 @@ import math
 import re
 
 from .exprs import OperatorRegistry
-from .terms import Compound, ConsCell, ExprTerm, LogicVar, Symbol, fresh_var, nil, spine
+from .terms import Compound, ExprTerm, LogicVar, Symbol, fresh_var, nil, spine, term_from_list
 
 _INT_RE = re.compile(r"[+-]?[0-9]+\Z")
 _FLOAT_RE = re.compile(r"[+-]?([0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)([eE][+-]?[0-9]+)?\Z")
 # The next token after whitespace (what str.isspace accepts) and comments:
-# a paren, a string's opening quote, or an atom, which ends only at one of
+# a paren; a string, quote to closing quote with its escapes, or a lone
+# quote when it has no closing one; or an atom, which ends only at one of
 # ' \t\r\n()";' (so "x\fy" is one symbol); empty at the end of input.
-_TOKEN = re.compile(r'(?:\s+|;[^\n]*)*([()"]|[^ \t\r\n()";]*)')
+_TOKEN = re.compile(r'(?:\s+|;[^\n]*)*([()]|"(?:[^"\\]|\\.)*"|"|[^ \t\r\n()";]*)', re.S)
 # The plain atoms that open a list, taken in one match: no variable, no
 # dot, no whitespace inside an atom, and each ends at a delimiter, so
 # str.split recovers exactly the atoms the token loop would read.
 _RUN = re.compile(r'(?:\s*[^\s()";?.][^\s()";]*(?=[ \t\r\n()";]|\Z))*')
+_ESCAPED = re.compile(r"\\(.)", re.S)
+# A string's escapes, the character after the backslash -> the character
+# it stands for; the printer writes them back through the inverse table.
+_UNESCAPE = {"n": "\n", "t": "\t", "\\": "\\", '"': '"', "r": "\r"}
+_ESCAPE = str.maketrans({c: "\\" + e for e, c in _UNESCAPE.items()})
 _DOT = object()
 _DOT_SYMBOL = Symbol(".")  # prints the " . " before an improper tail
 
@@ -39,162 +45,127 @@ class ParseError(Exception):
         self.col = col
 
 
-class _Reader:
-    def __init__(self, text, registry):
-        self.text = text
-        self.i = 0
-        self.registry = registry
-        self.atoms = {}  # token -> term for each atom but ?_ (a document's ?x is one variable)
+def _error(text, message, at):
+    return ParseError(message, text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at))
 
-    def error(self, message, at):
-        line = self.text.count("\n", 0, at) + 1
-        col = at - (self.text.rfind("\n", 0, at) + 1) + 1
-        return ParseError(message, line, col)
 
-    def read(self):
-        """Read one term.  Lists still open wait on an explicit stack of
-        ``[open_at, items, tail]`` frames, so nesting depth is not bounded
-        by the interpreter stack.  tail is None until a lone dot, then
-        _DOT while the tail term is read."""
-        text, atoms = self.text, self.atoms
-        token, run = _TOKEN.match, _RUN.match
-        stack = []
-        i = self.i
-        while True:
-            m = token(text, i)
-            tok, at, i = m[1], m.start(1), m.end()
-            in_list = stack and stack[-1][2] is None
-            if tok == "(":
-                items = []
-                stack.append([at, items, None])
-                r = run(text, i)
-                if r.end() > i:
-                    try:
-                        items += [atoms[a] if a in atoms else self.atom(a, at) for a in r[0].split()]
-                        i = r.end()
-                    except ParseError:
-                        pass  # read again one token at a time, so the error points at the atom
-                continue
-            if not tok:
-                if in_list:
-                    raise self.error("unbalanced '('", stack[-1][0])
-                raise self.error("unexpected end of input", at)
-            if tok == ")":
-                if not in_list:
-                    raise self.error("unbalanced ')'", at)
-                term = self._close(stack.pop())
-            elif tok == '"':
-                self.i = at
-                term = self.read_string()
-                i = self.i
-            elif tok == "." and in_list:
-                if not stack[-1][1]:
-                    raise self.error("misplaced '.' in list", at)
-                stack[-1][2] = _DOT
-                continue
-            else:
-                term = atoms[tok] if tok in atoms else self.atom(tok, at)
-            while stack:
-                frame = stack[-1]
-                if frame[2] is not _DOT:
-                    frame[1].append(term)
-                    break
-                frame[2] = term
-                m = token(text, i)
-                if m[1] != ")":
-                    raise self.error("expected ')' after dotted tail", m.start(1))
-                i = m.end()
-                term = self._close(stack.pop())
-            else:
-                self.i = i
-                return term
+def _string_error(text, at):
+    """The error for the string that opens at ``at``: its first bad escape,
+    else its missing closing quote."""
+    for e in _ESCAPED.finditer(text, at + 1):
+        esc = e[1]
+        if esc not in _UNESCAPE:
+            name = esc if esc.isprintable() else f" followed by {esc!r}"
+            return _error(text, f"bad string escape: \\{name}", e.start(1))
+    return _error(text, "unterminated string", at)
 
-    def _close(self, frame):
-        """The term for a finished list: an expression term when it is
-        proper and headed by a registered operator, otherwise cons cells."""
-        _, items, tail = frame
-        if (
-            tail is None
-            and items
-            and self.registry is not None
-            and isinstance(items[0], Symbol)
-            and items[0].name in self.registry
-        ):
-            return ExprTerm(items)
-        out = nil if tail is None else tail
-        for x in reversed(items):
-            out = ConsCell(x, out)
-        return out
 
-    def read_string(self):
-        start = self.i
-        self.i += 1
-        out = []
-        text, n = self.text, len(self.text)
-        while self.i < n:
-            c = text[self.i]
-            if c == '"':
-                self.i += 1
-                return "".join(out)
-            if c == "\\":
-                self.i += 1
-                if self.i >= n:
-                    break
-                esc = text[self.i]
-                mapped = {"n": "\n", "t": "\t", "\\": "\\", '"': '"', "r": "\r"}.get(esc)
-                if mapped is None:
-                    raise self.error(f"bad string escape: \\{esc}", self.i)
-                out.append(mapped)
-            else:
-                out.append(c)
-            self.i += 1
-        raise self.error("unterminated string", start)
+def _atom(tok, text, at, atoms):
+    """The term for an atom or string token first seen at ``at``; atoms
+    keeps it for the token's next occurrence, except for ``?_``."""
+    if tok == '"':  # no closing quote
+        raise _string_error(text, at)
+    if tok[0] == '"':
+        try:
+            term = _ESCAPED.sub(lambda e: _UNESCAPE[e[1]], tok[1:-1])
+        except KeyError:
+            raise _string_error(text, at) from None
+    elif tok == "#t":
+        term = True
+    elif tok == "#f":
+        term = False
+    elif tok[0] == "?":
+        name = tok[1:]
+        if not name:
+            raise _error(text, "'?' needs a variable name (use ?_ for anonymous)", at)
+        if name == "_":
+            return fresh_var()
+        term = fresh_var(name)
+    elif _INT_RE.match(tok):
+        try:
+            term = int(tok)
+        except ValueError:  # past the interpreter's digit limit
+            raise _error(text, f"integer literal too long: {len(tok)} characters", at) from None
+    elif (m := _FLOAT_RE.match(tok)) and any(ch in tok for ch in ".eE"):
+        term = float(tok)
+        # out of range: too large, or read as zero from a nonzero mantissa
+        if math.isinf(term) or not term and m[1].strip("0."):
+            raise _error(text, f"number out of range: {tok}", at)
+    else:
+        term = Symbol(tok)
+    atoms[tok] = term
+    return term
 
-    def atom(self, tok, at):
-        """The term for an atom token first seen at ``at``."""
-        if tok == "#t":
-            term = True
-        elif tok == "#f":
-            term = False
-        elif tok[0] == "?":
-            name = tok[1:]
-            if not name:
-                raise self.error("'?' needs a variable name (use ?_ for anonymous)", at)
-            if name == "_":
-                return fresh_var()
-            term = fresh_var(name)
-        elif _INT_RE.match(tok):
-            try:
-                term = int(tok)
-            except ValueError:  # past the interpreter's digit limit
-                raise self.error(f"integer literal too long: {len(tok)} characters", at) from None
-        elif (m := _FLOAT_RE.match(tok)) and any(ch in tok for ch in ".eE"):
-            term = float(tok)
-            # out of range: too large, or read as zero from a nonzero mantissa
-            if math.isinf(term) or not term and m[1].strip("0."):
-                raise self.error(f"number out of range: {tok}", at)
-        else:
-            term = Symbol(tok)
-        self.atoms[tok] = term
-        return term
+
+def _close(frame, registry):
+    """The term for a finished list: an expression term when it is proper
+    and headed by a registered operator, otherwise cons cells."""
+    _, items, tail = frame
+    if (tail is None and items and registry is not None
+            and isinstance(items[0], Symbol) and items[0].name in registry):
+        return ExprTerm(items)
+    return term_from_list(items, nil if tail is None else tail)
 
 
 def parse_sexpr(text: str, registry: OperatorRegistry | None = None):
     """Read exactly one term from text.
 
     ``?name`` tokens map to one logic variable per distinct name per
-    document.
+    document.  Lists still open wait on an explicit stack of
+    ``[open_at, items, tail]`` frames, so nesting depth is not bounded by
+    the interpreter stack.  tail is None until a lone dot, then _DOT
+    while the tail term is read.
     """
-    reader = _Reader(text, registry)
-    t = reader.read()
-    m = _TOKEN.match(text, reader.i)
-    if m[1]:
-        raise reader.error("trailing content after term", m.start(1))
-    return t
-
-
-def _escape(s: str) -> str:
-    return s.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n").replace("\t", "\\t").replace("\r", "\\r")
+    atoms = {}  # token -> term, for each atom and string but ?_
+    token, run = _TOKEN.match, _RUN.match
+    stack = []
+    i = 0
+    while True:
+        m = token(text, i)
+        tok, at, i = m[1], m.start(1), m.end()
+        in_list = stack and stack[-1][2] is None
+        if tok == "(":
+            items = []
+            stack.append([at, items, None])
+            r = run(text, i)
+            if r.end() > i:
+                try:
+                    items += [atoms[a] if a in atoms else _atom(a, text, at, atoms) for a in r[0].split()]
+                    i = r.end()
+                except ParseError:
+                    pass  # read again one token at a time, so the error points at the atom
+            continue
+        if not tok:
+            if in_list:
+                raise _error(text, "unbalanced '('", stack[-1][0])
+            raise _error(text, "unexpected end of input", at)
+        if tok == ")":
+            if not in_list:
+                raise _error(text, "unbalanced ')'", at)
+            term = _close(stack.pop(), registry)
+        elif tok == "." and in_list:
+            if not stack[-1][1]:
+                raise _error(text, "misplaced '.' in list", at)
+            stack[-1][2] = _DOT
+            continue
+        else:
+            term = atoms[tok] if tok in atoms else _atom(tok, text, at, atoms)
+        while stack:
+            frame = stack[-1]
+            if frame[2] is not _DOT:
+                frame[1].append(term)
+                break
+            frame[2] = term
+            m = token(text, i)
+            if m[1] != ")":
+                raise _error(text, "expected ')' after dotted tail", m.start(1))
+            i = m.end()
+            term = _close(stack.pop(), registry)
+        else:
+            m = token(text, i)
+            if m[1]:
+                raise _error(text, "trailing content after term", m.start(1))
+            return term
 
 
 def print_term(t) -> str:
@@ -239,7 +210,7 @@ def print_term(t) -> str:
             elif isinstance(x, (int, float)):
                 push(repr(x))
             elif isinstance(x, str):
-                push(f'"{_escape(x)}"')
+                push(f'"{x.translate(_ESCAPE)}"')
             elif isinstance(x, Symbol):
                 push(x.name)
             elif isinstance(x, Compound):

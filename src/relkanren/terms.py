@@ -209,9 +209,10 @@ def cdr(t):
     raise DecompositionError(f"cannot take cdr of {t!r}")
 
 
-def term_from_list(items) -> object:
-    """Build a proper list term from a sequence of terms."""
-    out = nil
+def term_from_list(items, tail=nil) -> object:
+    """Build a list term from a sequence of terms, ending in tail (by
+    default nil, which makes a proper list)."""
+    out = tail
     for x in reversed(list(items)):
         out = ConsCell(x, out)
     return out
@@ -281,9 +282,7 @@ def to_term(obj):
         else:
             if not stack:
                 return out[0]
-            t = nil
-            for x in reversed(out):
-                t = ConsCell(x, t)
+            t = term_from_list(out)
             items, out = stack.pop()
             out.append(t)
 

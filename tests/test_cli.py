@@ -2,6 +2,7 @@ import io
 
 import pytest
 
+from relkanren import builtin_rulesets
 from relkanren.cli import (
     EXIT_BUDGET,
     EXIT_ERROR,
@@ -224,6 +225,15 @@ def test_integer_past_the_digit_limit_exits_four_with_one_line(capsys, monkeypat
     assert got == err
 
 
+def test_bad_escape_before_a_line_break_exits_four_with_one_line(capsys, monkeypatch):
+    code, out, err = invoke(
+        capsys, monkeypatch, ["rewrite", "--rules", "math"], stdin='(add "a\\\nb" 1)'
+    )
+    assert code == EXIT_PARSE_ERROR
+    assert out == ""
+    assert err == "parse error: bad string escape: \\ followed by '\\n' (line 1, column 9)\n"
+
+
 def test_rewrite_budget_exhaustion(capsys, monkeypatch):
     code, out, err = invoke(
         capsys,
@@ -416,6 +426,14 @@ def test_help_exits_zero(capsys, monkeypatch):
         invoke(capsys, monkeypatch, ["--help"])
     assert info.value.code == 0
     assert "usage: relkanren" in capsys.readouterr().out
+
+
+def test_help_lists_each_ruleset_on_a_line_of_its_own(capsys, monkeypatch):
+    with pytest.raises(SystemExit):
+        invoke(capsys, monkeypatch, ["--help"])
+    lines = [line.strip() for line in capsys.readouterr().out.splitlines()]
+    for name, rs in builtin_rulesets().items():
+        assert f"{name}: {rs.description}" in lines
 
 
 def test_query_membero_over_a_long_list(capsys, monkeypatch):

@@ -419,6 +419,7 @@ MALFORMED = [
     "(1 . 2 3)", "(1 . 2 . 3)", "(a . (b) c)", "(. )", '"abc', '("abc', '(1 "a\\"',
     '"a\\q"', '"a\\', '(x "\\z")', "?", "(?)", "(1 ? 2)", "(?x . ?)", "1 2", "(1) (2)",
     "x y", "(1 ; comment", "#t #f", "\u00a0", "(1\u2028", "(\f",
+    '"a\\q', '(1 2 "x', '("a\\" . 1)',
 ]
 
 WELL_FORMED = [
@@ -437,6 +438,7 @@ WELL_FORMED = [
     "(1 2 3 4 5 6 7 8 9 10)", "(a b c ?x d e)", "(a b . c)", "(1 2 \"s\" 3)", "(a b ; c\n d)",
     "(a (b c) d (e . f) g)", "(#t #f #t)", "(1.5 -2 +3 .25 1e9)", "(add\n1\n2)",
     "1" * 5000, "(" + "9" * 5000 + ")",
+    '"a\nb"', '"(;)"', '(1 2 "x")', '(a b "c" . "d")',
 ]
 
 

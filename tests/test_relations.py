@@ -154,6 +154,16 @@ def test_permuteo_needs_one_ground_spine():
         run(1, fresh_var(), permuteo(fresh_var(), fresh_var()))
 
 
+@pytest.mark.parametrize(
+    "a, b",
+    [(1, None), (Symbol("a"), True), (cons(1, 2), None)],
+    ids=["integer", "symbol-and-boolean", "improper-list"],
+)
+def test_permuteo_fails_where_a_side_is_never_a_proper_list(a, b):
+    q = fresh_var()
+    assert run(0, q, permuteo(a, q if b is None else b)) == ()
+
+
 class _RefKey:
     """Strict structural wrapper so multisets distinguish 2 from 2.0."""
 
