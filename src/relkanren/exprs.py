@@ -1,8 +1,9 @@
 """Evaluation of operator-application terms and the operator registry.
 
 An :class:`~relkanren.terms.ExprTerm` (defined with the other terms and
-re-exported here) evaluates against an :class:`OperatorRegistry`, whose
-memo caches the result for the :data:`MEMO_CAP` most recently added terms.
+re-exported here, as is its constructor ``make_expr``) evaluates against an
+:class:`OperatorRegistry`, whose memo caches the result for the
+:data:`MEMO_CAP` most recently added terms.
 
 Operators are named by :class:`~relkanren.terms.Symbol` and resolved through
 the registry at evaluation time, which keeps terms serializable and keeps
@@ -16,7 +17,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
-from .terms import ConsCell, ExprTerm, Symbol, is_ground, spine_elements
+from .terms import ConsCell, ExprTerm, Symbol, is_ground, make_expr, spine_elements
 
 
 #: Entries a registry's evaluation memo keeps; past it the oldest go first,
@@ -38,11 +39,6 @@ class UnknownOperatorError(EvalError):
 
 class ArityError(EvalError):
     """The operand count does not match the operator's declared arity."""
-
-
-def make_expr(*items) -> ExprTerm:
-    """Build an expression term; requires at least the operator item."""
-    return ExprTerm(items)
 
 
 @dataclass(frozen=True)

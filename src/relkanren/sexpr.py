@@ -14,7 +14,7 @@ import math
 import re
 
 from .exprs import OperatorRegistry
-from .terms import Compound, ExprTerm, LogicVar, Symbol, fresh_var, nil, spine, term_from_list
+from .terms import Compound, ExprTerm, LogicVar, Symbol, fresh_var, make_expr, nil, spine, term_from_list
 
 _INT_RE = re.compile(r"[+-]?[0-9]+\Z")
 _FLOAT_RE = re.compile(r"[+-]?([0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)([eE][+-]?[0-9]+)?\Z")
@@ -103,7 +103,7 @@ def _close(frame, registry):
     _, items, tail = frame
     if (tail is None and items and registry is not None
             and isinstance(items[0], Symbol) and items[0].name in registry):
-        return ExprTerm(items)
+        return make_expr(*items)
     return term_from_list(items, nil if tail is None else tail)
 
 

@@ -137,6 +137,7 @@ class ConsCell(Compound):
     logic variable occurs in the pair.
     """
 
+    # term_from_list sets these same slots itself, without __init__.
     __slots__ = ("car", "cdr", "_hash", "ground")
 
     def __init__(self, car, cdr):
@@ -162,13 +163,12 @@ class ExprTerm(Compound, tuple):
     ground = True
 
     def __new__(cls, items):
-        self = tuple.__new__(cls, items)
-        if not self:
-            raise ValueError("an expression term needs at least one item")
-        for x in self:
-            if not getattr(x, "ground", True):
-                self.ground = False
-                break
+        self = make_expr(*items)
+        if cls is not ExprTerm:
+            sub = tuple.__new__(cls, self)
+            if not self.ground:
+                sub.ground = False
+            self = sub
         return self
 
     def __getitem__(self, key):
@@ -176,8 +176,21 @@ class ExprTerm(Compound, tuple):
             part = tuple.__getitem__(self, key)
             if not part:
                 raise ValueError("a slice of an expression term must be nonempty")
-            return ExprTerm(part)
+            return make_expr(*part)
         return tuple.__getitem__(self, key)
+
+
+def make_expr(*items) -> ExprTerm:
+    """Build an expression term; requires at least the operator item.  The
+    one constructor of the kind, in one frame: ``ExprTerm(items)`` calls it."""
+    if not items:
+        raise ValueError("an expression term needs at least one item")
+    self = tuple.__new__(ExprTerm, items)
+    for x in items:
+        if not getattr(x, "ground", True):
+            self.ground = False
+            break
+    return self
 
 
 def cons(car, cdr) -> ConsCell:
@@ -211,10 +224,15 @@ def cdr(t):
 
 def term_from_list(items, tail=nil) -> object:
     """Build a list term from a sequence of terms, ending in tail (by
-    default nil, which makes a proper list)."""
+    default nil, which makes a proper list).  The one list builder: it sets
+    each cell's slots itself, folding the ground flag back from the tail."""
     out = tail
+    ground, new = getattr(tail, "ground", True), object.__new__
     for x in reversed(list(items)):
-        out = ConsCell(x, out)
+        cell = new(ConsCell)
+        cell.car, cell.cdr, cell._hash = x, out, None
+        cell.ground = ground = ground and getattr(x, "ground", True)
+        out = cell
     return out
 
 

@@ -21,7 +21,7 @@ the value.
 
 from __future__ import annotations
 
-from .terms import Compound, ConsCell, ExprTerm, LogicVar, term_from_list
+from .terms import Compound, ConsCell, ExprTerm, LogicVar, make_expr, term_from_list
 
 
 def walk(t, s: dict):
@@ -164,7 +164,7 @@ def _rebuild(t, s: dict, on_var):
                 return out[0]
             if changed:
                 new = out[base:]
-                node = ConsCell(*new) if isinstance(node, ConsCell) else ExprTerm(new)
+                node = ConsCell(*new) if isinstance(node, ConsCell) else make_expr(*new)
             del out[base:]
             out.append(node)
             node, parts, base, up = stack.pop()

@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 
 from relkanren import (
@@ -216,6 +218,10 @@ def _partial_subst(rng, variables):
     return s
 
 
+class _SubExpr(ExprTerm):
+    pass
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_ground_flag_agrees_with_a_full_traversal(seed):
     rng = seeded(seed)
@@ -240,6 +246,34 @@ def test_ground_flag_agrees_with_a_full_traversal(seed):
         s = _partial_subst(rng, pool)
         _assert_flags_agree(walk_star(t, s))
         _assert_flags_agree(reify(t, s))
+        # ExprTerm called directly
+        e = ExprTerm([random_term(rng, pool, depth=1) for _ in range(rng.randrange(1, 5))])
+        _assert_flags_agree(e)
+        # term_from_list over a generator, with an atom, a variable and an
+        # expression-term tail: the cars and the tail are the given objects
+        v = pool[0] if pool else fresh_var()
+        cars = [random_term(rng, pool, depth=1) for _ in range(rng.randrange(0, 5))]
+        for tail in (random_atom(rng), v, e):
+            lst = term_from_list((x for x in cars), tail)
+            _assert_flags_agree(lst)
+            for x in cars:
+                assert lst.car is x and lst._hash is None
+                # the same slot values as the single-cell constructor sets
+                ref = ConsCell(lst.car, lst.cdr)
+                assert [getattr(lst, a) for a in ConsCell.__slots__] == [
+                    getattr(ref, a) for a in ConsCell.__slots__
+                ]
+                lst = lst.cdr
+            assert lst is tail
+        # copies of a non-ground expression term go through ExprTerm.__new__
+        open_e = make_expr(Symbol("add"), v, e)
+        _assert_flags_agree(copy.copy(open_e))
+        _assert_flags_agree(copy.deepcopy(open_e))
+        # a subclass of ExprTerm stays its own type, called or copied
+        for sub in (_SubExpr([Symbol("add"), 1]), _SubExpr([Symbol("add"), v, e])):
+            for x in (sub, copy.copy(sub), copy.deepcopy(sub)):
+                assert type(x) is _SubExpr
+                _assert_flags_agree(x)
 
 
 @pytest.mark.parametrize("seed", range(10))
