@@ -161,17 +161,17 @@ def _eval(t, reg):
     while work:
         node, frame = work.pop()
         if frame is None:
-            if isinstance(node, ExprTerm):
+            if type(node) is ExprTerm:
                 if node in memo:
                     out.append(memo[node])
                     continue
-                op = tuple.__getitem__(node, 0)
-                if not isinstance(op, Symbol):
+                op = node[0]
+                if type(op) is not Symbol:
                     raise UnknownOperatorError(f"operator position is not a symbol: {op!r}")
                 work.append((node, reg.get(op.name)))
-                for item in reversed(tuple.__getitem__(node, slice(1, None))):
+                for item in reversed(node[1:]):
                     work.append((item, None))
-            elif isinstance(node, ConsCell):
+            elif type(node) is ConsCell:
                 work.append((node, _CONS))
                 work.append((node.cdr, None))
                 work.append((node.car, None))

@@ -234,7 +234,7 @@ def _head(t, s):
     cls = t.__class__
     if cls is not ExprTerm and cls is not ConsCell:
         return None if cls is LogicVar else _NO_HEAD
-    t = walk(t.car if cls is ConsCell else tuple.__getitem__(t, 0), s)
+    t = walk(t.car if cls is ConsCell else t[0], s)
     if t.__class__ is Symbol:
         return t.name
     return None if t.__class__ is LogicVar else _NO_HEAD

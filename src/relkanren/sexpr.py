@@ -14,7 +14,7 @@ import math
 import re
 
 from .exprs import OperatorRegistry
-from .terms import Compound, ExprTerm, LogicVar, Symbol, fresh_var, make_expr, nil, spine, term_from_list
+from .terms import ConsCell, ExprTerm, LogicVar, Symbol, fresh_var, make_expr, nil, spine, term_from_list
 
 _INT_RE = re.compile(r"[+-]?[0-9]+\Z")
 _FLOAT_RE = re.compile(r"[+-]?([0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)([eE][+-]?[0-9]+)?\Z")
@@ -169,7 +169,8 @@ def parse_sexpr(text: str, registry: OperatorRegistry | None = None):
 
 
 def print_term(t) -> str:
-    """Canonical text for a term.
+    """Canonical text for a term, by one dispatch on each node's exact
+    class: an object of no term type raises TypeError.
 
     Unbound variables print as ``?_0``, ``?_1``, ... in left-to-right
     depth-first encounter order.  Lists print as :func:`~relkanren.terms.spine`
@@ -197,7 +198,7 @@ def print_term(t) -> str:
                 stack.append(items)
                 items = iter(x)
                 break
-            elif isinstance(x, LogicVar):
+            elif tx is LogicVar:
                 name = names.get(x)
                 if name is None:
                     name = f"_{len(names)}"
@@ -205,15 +206,11 @@ def print_term(t) -> str:
                 push(f"?{name}")
             elif x is nil:
                 push("()")
-            elif isinstance(x, bool):
+            elif tx is bool:
                 push("#t" if x else "#f")
-            elif isinstance(x, (int, float)):
-                push(repr(x))
-            elif isinstance(x, str):
+            elif tx is str:
                 push(f'"{x.translate(_ESCAPE)}"')
-            elif isinstance(x, Symbol):
-                push(x.name)
-            elif isinstance(x, Compound):
+            elif tx is ConsCell:
                 elems, tail = spine(x)
                 if tail is not nil:
                     elems += (_DOT_SYMBOL, tail)

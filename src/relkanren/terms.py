@@ -3,7 +3,9 @@
 Atoms are plain Python values (``int``, ``float``, ``str``, ``bool``) plus
 :class:`Symbol` for operator and identifier names.  Equality between atoms is
 strict on the variant: the integer ``2`` and the decimal ``2.0`` are distinct
-terms, as are ``True`` and ``1``.
+terms, as are ``True`` and ``1``.  The terms are the instances of nine
+exact classes (``_TERM_TYPES``); an instance of a subclass of one, such as
+an ``IntEnum`` member, is no term.
 
 A logic variable is its object: equality between variables is identity,
 and ``LogicVar.id`` only orders creation and feeds :func:`term_hash`.
@@ -148,12 +150,11 @@ class ConsCell(Compound):
 
 
 class ExprTerm(Compound, tuple):
-    """An operator-application term behaving as an immutable sequence.
+    """An operator-application term: a nonempty tuple of terms.
 
     The first item is the operator position.  It unifies, compares and
-    hashes like the equivalent cons spine ``(op . operands)``.  Indexing
-    returns items; slicing returns a (nonempty) ExprTerm sharing no mutable
-    state with the original.
+    hashes like the equivalent cons spine ``(op . operands)``; indexing and
+    slicing are tuple's, so a slice is a plain tuple, not a term.
 
     ``ground`` is true when no logic variable occurs in the items.  It is a
     class attribute that a term holding a variable overrides on the
@@ -163,21 +164,7 @@ class ExprTerm(Compound, tuple):
     ground = True
 
     def __new__(cls, items):
-        self = make_expr(*items)
-        if cls is not ExprTerm:
-            sub = tuple.__new__(cls, self)
-            if not self.ground:
-                sub.ground = False
-            self = sub
-        return self
-
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            part = tuple.__getitem__(self, key)
-            if not part:
-                raise ValueError("a slice of an expression term must be nonempty")
-            return make_expr(*part)
-        return tuple.__getitem__(self, key)
+        return make_expr(*items)
 
 
 def make_expr(*items) -> ExprTerm:
@@ -206,19 +193,19 @@ def is_application(t) -> bool:
 
 def car(t):
     """Head of a cons cell, or the operator position of an expression term."""
-    if isinstance(t, ConsCell):
+    if type(t) is ConsCell:
         return t.car
-    if isinstance(t, ExprTerm):
-        return tuple.__getitem__(t, 0)
+    if type(t) is ExprTerm:
+        return t[0]
     raise DecompositionError(f"cannot take car of {t!r}")
 
 
 def cdr(t):
     """Tail of a cons cell, or the operand list of an expression term."""
-    if isinstance(t, ConsCell):
+    if type(t) is ConsCell:
         return t.cdr
-    if isinstance(t, ExprTerm):
-        return term_from_list(list(t)[1:])
+    if type(t) is ExprTerm:
+        return term_from_list(t[1:])
     raise DecompositionError(f"cannot take cdr of {t!r}")
 
 
@@ -273,23 +260,24 @@ def spine_elements(t):
     return out if tail is nil else None
 
 
-_TERM_TYPES = (LogicVar, Compound, Symbol, bool, int, float, str)
+_TERM_TYPES = frozenset({LogicVar, Symbol, bool, int, float, str, _Nil, ConsCell, ExprTerm})
 
 
 def to_term(obj):
     """Coerce Python natives to terms: lists/tuples become proper lists.
 
     Terms pass through unchanged; this is a convenience for goal
-    constructors so callers can write ``membero(x, (1, 2, 3))``.
+    constructors so callers can write ``membero(x, (1, 2, 3))``.  Any other
+    object, a subclass instance of a term type included, raises TypeError.
     """
-    if obj is nil or isinstance(obj, _TERM_TYPES):
+    if type(obj) in _TERM_TYPES:
         return obj
     # one frame per list being converted: its items left and their terms
     stack = []
     items, out = iter((obj,)), []
     while True:
         for x in items:
-            if x is nil or isinstance(x, _TERM_TYPES):
+            if type(x) in _TERM_TYPES:
                 out.append(x)
             elif isinstance(x, (list, tuple)):
                 stack.append((items, out))
@@ -306,24 +294,19 @@ def to_term(obj):
 
 
 _H_NIL = hash(("nil",))
+# An atom hashes as its exact class's tag with its id, name or itself.
+_ATOM_TAGS = {LogicVar: "var", Symbol: "sym", bool: "bool", int: "int", float: "float", str: "str"}
 
 
 def _atom_hash(t):
-    if isinstance(t, LogicVar):
-        return hash(("var", t.id))
     if t is nil:
         return _H_NIL
-    if isinstance(t, Symbol):
-        return hash(("sym", t.name))
-    if isinstance(t, bool):
-        return hash(("bool", t))
-    if isinstance(t, int):
-        return hash(("int", t))
-    if isinstance(t, float):
-        return hash(("float", t))
-    if isinstance(t, str):
-        return hash(("str", t))
-    raise TypeError(f"not a term: {t!r}")
+    cls = type(t)
+    tag = _ATOM_TAGS.get(cls)
+    if tag is None:
+        raise TypeError(f"not a term: {t!r}")
+    key = t.id if cls is LogicVar else t.name if cls is Symbol else t
+    return hash((tag, key))
 
 
 def term_hash(t) -> int:
@@ -343,11 +326,11 @@ def term_hash(t) -> int:
                 h = hash(("int", x))
             elif tx is Symbol:
                 h = hash(("sym", x.name))
-            elif isinstance(x, ConsCell):
+            elif tx is ConsCell:
                 h = x._hash
                 if h is None:
                     cells = []
-                    while isinstance(x, ConsCell) and x._hash is None:
+                    while type(x) is ConsCell and x._hash is None:
                         cells.append(x)
                         x = x.cdr
                     cars = [c.car for c in cells]
@@ -355,7 +338,7 @@ def term_hash(t) -> int:
                     stack.append((node, parts, base))
                     node, parts, base = cells, iter(cars), len(out)
                     break
-            elif isinstance(x, ExprTerm):
+            elif tx is ExprTerm:
                 h = getattr(x, "_thash", None)
                 if h is None:
                     stack.append((node, parts, base))

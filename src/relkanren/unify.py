@@ -132,15 +132,18 @@ def _rebuild(t, s: dict, on_var):
     Visits nodes left to right, depth first.  A ground subterm is returned
     as it is without being visited, and a cons cell or expression term whose
     parts all come back unchanged is kept as is, which also keeps its
-    memoized hash.
+    memoized hash.  A bound variable's value is copied once and shared by
+    its later occurrences: a DAG, built in time linear in the bindings.
     """
     get = s.get
+    copies = {}  # a bound variable -> the copy made of its value
     # One frame per compound node being copied: its parts go left to right
     # onto `out`, the node's own from `base` on; `changed` is set once one
-    # of them comes back as another object.
+    # of them comes back as another object; `var` is the variable whose
+    # value the node is, else None.
     stack = []
     out = []
-    node, parts, base, changed = None, iter((t,)), 0, False
+    node, parts, base, changed, var = None, iter((t,)), 0, False, None
     while True:
         for x in parts:
             y = x
@@ -150,12 +153,15 @@ def _rebuild(t, s: dict, on_var):
                     y = on_var(y)
                     break
                 y = z
-            else:  # y is no variable: descend into it unless it is ground
+            else:  # y is no variable: copy it unless it is ground or copied
                 if not getattr(y, "ground", True):
-                    stack.append((node, parts, base, changed or y is not x))
-                    node, base, changed = y, len(out), False
-                    parts = iter((y.car, y.cdr)) if isinstance(y, ConsCell) else iter(y)
-                    break
+                    if y is x or x not in copies:
+                        stack.append((node, parts, base, changed or y is not x, var))
+                        node, base, changed = y, len(out), False
+                        var = None if y is x else x
+                        parts = iter((y.car, y.cdr)) if isinstance(y, ConsCell) else iter(y)
+                        break
+                    y = copies[x]
             if y is not x:
                 changed = True
             out.append(y)
@@ -166,8 +172,10 @@ def _rebuild(t, s: dict, on_var):
                 new = out[base:]
                 node = ConsCell(*new) if isinstance(node, ConsCell) else make_expr(*new)
             del out[base:]
+            if var is not None:
+                copies[var] = node
             out.append(node)
-            node, parts, base, up = stack.pop()
+            node, parts, base, up, var = stack.pop()
             changed = changed or up
 
 

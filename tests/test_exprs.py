@@ -163,10 +163,10 @@ def test_symbolic_only_operator_has_no_eval():
 
 
 def test_expr_slice_stays_expr():
+    # a slice is tuple's: a plain tuple, not an expression term
     e = make_expr(ADD, 1, 2)
-    assert isinstance(e[:2], ExprTerm)
-    with pytest.raises(ValueError):
-        e[0:0]
+    assert type(e[:2]) is tuple and e[:2] == (ADD, 1)
+    assert e[0:0] == ()
 
 
 def test_memo_is_bounded_and_still_hits():

@@ -369,18 +369,6 @@ def _check_hash(t):
 # --- inputs ---------------------------------------------------------------
 
 
-class _Sym(Symbol):
-    pass
-
-
-class _Int(int):
-    pass
-
-
-class _Expr(ExprTerm):
-    pass
-
-
 def _small_terms():
     x, y = fresh_var("x"), fresh_var()
     expr = make_expr(ADD, 2, x)
@@ -399,9 +387,6 @@ def _small_terms():
         make_expr(ADD, x, x, y, term_from_list([y, x])),
         make_expr(x, 1, True, "s", 2.0),
         make_expr(make_expr(ADD, 1), cons(nil, nil)),
-        term_from_list([_Sym("sub"), _Int(3), True, 1.5]),
-        _Expr([ADD, _Int(4), cons(_Sym("z"), x)]),
-        cons(_Expr([ADD, 1]), _Expr([ADD, 2])),
     ]
 
 

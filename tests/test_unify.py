@@ -15,6 +15,7 @@ from relkanren import (
     make_expr,
     nil,
     occurs,
+    print_term,
     reify,
     Symbol,
     term_eq,
@@ -208,6 +209,25 @@ def test_reify_twice_shares_the_display_variables():
     assert r1.car[1] is r2.car[1] is unify_module.display_var(0)
     assert r1.car[2] is r2.car[2] is unify_module.display_var(1)
     assert alpha_eq(r1, r2) and alpha_eq(r1, t)
+
+
+def test_reify_copies_each_shared_binding_once():
+    # v_i = (add v_{i+1} v_{i+1}) and v_16 = 1: the answer is a tree of
+    # 2^16 - 1 applications, which reify builds as a DAG of 16 nodes
+    add = Symbol("add")
+    vs = [fresh_var() for _ in range(17)]
+    s = {v: make_expr(add, w, w) for v, w in zip(vs, vs[1:])}
+    s[vs[16]] = 1
+    r = reify(vs[0], s)
+    seen, stack = set(), [r]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, ExprTerm) and id(t) not in seen:
+            seen.add(id(t))
+            stack.extend(t)
+    assert len(seen) == 16
+    assert len(print_term(r)) == 524_281
+    assert term_eq(r, walk_star(vs[0], s))
 
 
 def test_concurrent_reify_shares_one_display_variable_per_index():
